@@ -6,8 +6,7 @@ Every kernel comes in two flavors:
   available and DRIFTLAB_DISABLE_NUMBA is unset), and
 * a vectorized numpy fallback.
 
-``backend`` arguments accept "numba" or "numpy" to override the default,
-which ``benchmarks/bench_kernels.py`` uses to compare both paths.
+``backend`` arguments accept "numba" or "numpy" to override the default.
 """
 
 from __future__ import annotations

@@ -7,12 +7,13 @@ a midpoint second-order Runge-Kutta stage for the dealiased advection term.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grids import GridSpec, ScalarField, SpectralField, VelocityField, to_physical, to_spectral
+from .grids import GridSpec, ScalarField, VelocityField, half_spectrum
 from .operators import TWO_PI, dealias_mask, norms, riesz_transform
 
 REVERSED_SIGN = "reversed"  # theta_t = +(u.grad)theta - Lambda theta
@@ -224,44 +225,55 @@ class VelocityHistory:
         return VelocityField(self.grid, fields, divergence_free=False)
 
 
-class _Stepper:
-    """Integrating-factor midpoint RK2 core on spectral coefficients.
+class SpectralPlan:
+    """Integrating-factor midpoint RK2 core on the rfftn half spectrum.
 
     The dissipation semigroup is applied exactly; the dealiased advection
-    tendency is advanced by the midpoint rule (second order).
+    tendency is advanced by the midpoint rule (second order).  One plan per
+    (grid, alpha, dt, advection sign) is built by ``spectral_plan`` and
+    reused by every step of the forward, SQG and dual runs.
     """
 
-    def __init__(self, grid: GridSpec, dt: float, alpha: float, adv_sign: float):
-        self.grid = grid
+    def __init__(self, grid: GridSpec, alpha: float, dt: float, adv_sign: float):
+        spec = half_spectrum(grid)
         self.dt = dt
-        self.adv_sign = adv_sign
-        lam = (TWO_PI * grid.mode_radius()) ** alpha
+        self.forward = spec.forward
+        self.inverse = spec.inverse
+        lam = (TWO_PI * spec.radius) ** alpha
         lam.flat[0] = 0.0
         self.E = np.exp(-lam * dt)
         self.E_half = np.exp(-lam * (0.5 * dt))
-        self.mask = dealias_mask(grid)
-        self.ik = tuple(2j * np.pi * nj for nj in grid.modes())
+        # the dealiasing mask is folded into the derivative multipliers and,
+        # with the advection sign and the mean mode removed, into the mask
+        # applied to the product
+        mask = dealias_mask(grid, spec.modes)
+        self.ik = tuple(ikj * mask for ikj in spec.ik)
+        self.mask = adv_sign * mask
+        self.mask.flat[0] = 0.0
+        for a in (self.E, self.E_half, self.mask) + self.ik:
+            a.setflags(write=False)  # shared by every caller of the cached plan
 
     def nonlinear(self, ch: np.ndarray, u_phys: tuple) -> np.ndarray:
         """Dealiased spectral tendency of sign * (u.grad)theta."""
-        chm = ch * self.mask
-        prod = np.zeros(self.grid.shape)
-        for ikj, uj in zip(self.ik, u_phys):
-            dj = np.fft.ifftn(ikj * chm, norm="forward").real
-            prod += uj * dj
-        ph = np.fft.fftn(prod, norm="forward") * self.mask
-        ph.flat[0] = 0.0
-        return self.adv_sign * ph
+        prod = sum(uj * self.inverse(ikj * ch) for ikj, uj in zip(self.ik, u_phys))
+        return self.forward(prod) * self.mask
 
     def predictor(self, ch: np.ndarray, u0_phys: tuple) -> np.ndarray:
-        """Half-step predictor (used for SQG stage-velocity recomputation)."""
+        """Midpoint coefficients, with the velocity at the step start."""
         return self.E_half * (ch + 0.5 * self.dt * self.nonlinear(ch, u0_phys))
+
+    def corrector(self, ch: np.ndarray, mid: np.ndarray, umid_phys: tuple) -> np.ndarray:
+        """End of the step from its start ``ch`` and its midpoint ``mid``."""
+        return self.E * ch + self.dt * self.E_half * self.nonlinear(mid, umid_phys)
 
     def step(self, ch: np.ndarray, u0_phys: tuple, umid_phys: tuple) -> np.ndarray:
         """Midpoint step; stage velocities at the step start and midpoint."""
-        mid = self.predictor(ch, u0_phys)
-        a2 = self.nonlinear(mid, umid_phys)
-        return self.E * ch + self.dt * self.E_half * a2
+        return self.corrector(ch, self.predictor(ch, u0_phys), umid_phys)
+
+
+@functools.lru_cache(maxsize=8)
+def spectral_plan(grid: GridSpec, alpha: float, dt: float, adv_sign: float) -> SpectralPlan:
+    return SpectralPlan(grid, alpha, dt, adv_sign)
 
 
 def _u_phys(u: VelocityField) -> tuple:
@@ -273,35 +285,43 @@ def _check_cfl(grid: GridSpec, dt: float, umax: float):
         raise CFLViolation(dt, cfl_admissible_dt(grid, umax))
 
 
+def _finite_field(grid: GridSpec, values: np.ndarray, step: int, t: float) -> ScalarField:
+    """Wrap new grid values, raising NumericalAbort if any is not finite."""
+    if not np.all(np.isfinite(values)):
+        raise NumericalAbort(step, t)
+    return ScalarField(grid, values)
+
+
 def step_forward(state: EvolutionState, cfg: SimConfig) -> EvolutionState:
     """Advance one step; velocity recomputed from theta for SQG runs."""
     grid = cfg.grid
-    dt = cfg.dt if cfg.dt is not None else default_dt(grid, state.u.max_norm())
-    _check_cfl(grid, dt, state.u.max_norm())
+    umax = state.u.max_norm()
+    dt = cfg.dt if cfg.dt is not None else default_dt(grid, umax)
+    _check_cfl(grid, dt, umax)
     sign = 1.0 if cfg.sign == REVERSED_SIGN else -1.0
-    stepper = _Stepper(grid, dt, cfg.alpha, sign)
-    ch = to_spectral(state.theta).coefficients
-    if cfg.kind == "sqg":
-        u0 = state.u
-        mid = to_physical(SpectralField(grid, stepper.predictor(ch, _u_phys(u0))))
-        umid = sqg_velocity(mid)
-    elif cfg.velocity.omega != 0.0:
+    plan = spectral_plan(grid, cfg.alpha, dt, sign)
+    step, t = state.step + 1, state.t + dt
+    vf = None
+    if cfg.kind != "sqg" and cfg.velocity.omega != 0.0:
         vf = velocity_function(cfg.velocity, grid)
-        u0 = vf(state.t)
+    u0 = state.u if vf is None else vf(state.t)
+    ch = plan.forward(state.theta.values)
+    mid = plan.predictor(ch, _u_phys(u0))
+    if cfg.kind == "sqg":
+        umid = sqg_velocity(_finite_field(grid, plan.inverse(mid), step, t))
+    elif vf is not None:
         umid = vf(state.t + 0.5 * dt)
     else:
-        u0 = umid = state.u
-    ch_new = stepper.step(ch, _u_phys(u0), _u_phys(umid))
-    theta_new = to_physical(SpectralField(grid, ch_new))
-    if not np.all(np.isfinite(theta_new.values)):
-        raise NumericalAbort(state.step + 1, state.t + dt)
+        umid = u0
+    ch_new = plan.corrector(ch, mid, _u_phys(umid))
+    theta_new = _finite_field(grid, plan.inverse(ch_new), step, t)
     if cfg.kind == "sqg":
         u_new = sqg_velocity(theta_new)
-    elif cfg.velocity.omega != 0.0:
-        u_new = vf(state.t + dt)
+    elif vf is not None:
+        u_new = vf(t)
     else:
         u_new = state.u
-    return EvolutionState(t=state.t + dt, theta=theta_new, u=u_new, step=state.step + 1)
+    return EvolutionState(t=t, theta=theta_new, u=u_new, step=step)
 
 
 @dataclass
@@ -419,9 +439,9 @@ def run_dual(
     dt = cfg.dt if cfg.dt is not None else default_dt(grid, umax)
     nsteps = int(round(horizon / dt)) if horizon > 0 else 0
     sign = -1.0 if cfg.sign == REVERSED_SIGN else 1.0
-    stepper = _Stepper(grid, dt, cfg.alpha, sign)
+    plan = spectral_plan(grid, cfg.alpha, dt, sign)
 
-    ch = to_spectral(phi).coefficients
+    ch = plan.forward(phi.values)
     s = 0.0
     states = [DualState(horizon=horizon, s=0.0, phi=phi, step=0)]
     svals, l1s, linfs, means = [0.0], [norms(phi).l1], [norms(phi).linf], [phi.mean()]
@@ -429,11 +449,9 @@ def run_dual(
         u0 = history.velocity_at(horizon - s)
         _check_cfl(grid, dt, u0.max_norm())
         umid = history.velocity_at(horizon - s - 0.5 * dt)
-        ch = stepper.step(ch, _u_phys(u0), _u_phys(umid))
+        ch = plan.step(ch, _u_phys(u0), _u_phys(umid))
         s += dt
-        f = to_physical(SpectralField(grid, ch))
-        if not np.all(np.isfinite(f.values)):
-            raise NumericalAbort(step, s)
+        f = _finite_field(grid, plan.inverse(ch), step, s)
         rec = norms(f)
         svals.append(s)
         l1s.append(rec.l1)

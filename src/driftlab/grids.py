@@ -7,6 +7,7 @@ angular wave vectors k = 2*pi*n, so the half-Laplacian has eigenvalues
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,14 +161,74 @@ def to_physical(fh: SpectralField) -> ScalarField:
     return ScalarField(fh.grid, vals.real)
 
 
+class HalfSpectrum:
+    """Wave vectors of one grid in the real-to-complex layout of
+    ``np.fft.rfftn``: the last axis keeps n = 0..N/2, the others all N modes.
+
+    Every axis uses the ``fftfreq`` convention, so index N/2 is n = -N/2 as
+    in the full spectrum.  Build it with ``half_spectrum(grid)``, which
+    caches one per grid; its arrays are read-only.
+    """
+
+    def __init__(self, grid: GridSpec):
+        self.grid = grid
+        N, d = grid.N, grid.d
+        self.shape = grid.shape[:-1] + (N // 2 + 1,)
+        self.axes = tuple(range(d))
+        n = np.fft.fftfreq(N, d=1.0 / N)
+        per_axis = tuple(enumerate((n,) * (d - 1) + (n[: N // 2 + 1],)))
+
+        def spread(j, a):
+            return np.broadcast_to(a.reshape([-1 if b == j else 1 for b in range(d)]), self.shape)
+
+        self.modes = tuple(spread(j, m) for j, m in per_axis)
+        self.radius = np.sqrt(sum(m**2 for m in self.modes))
+        self.radius.setflags(write=False)
+        self.ik = tuple(spread(j, 2j * np.pi * m) for j, m in per_axis)
+        # the Nyquist rows of every axis but the last (which stores its
+        # Nyquist column whole), and the multipliers with n_j = +N/2 in
+        # place of -N/2, for spectral_divergence_max
+        nyq = N // 2
+        self.nyquist_rows = tuple(
+            tuple(nyq if a == j else slice(None) for a in range(d)) for j in range(d - 1)
+        )
+        self.ik_mirror = tuple(
+            spread(j, 2j * np.pi * np.where(m == -nyq, nyq, m)) for j, m in per_axis
+        )
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        """Half-spectrum coefficients c_n of real grid values (to_spectral's
+        normalization)."""
+        return np.fft.rfftn(values, norm="forward")
+
+    def inverse(self, coefficients: np.ndarray) -> np.ndarray:
+        """Real grid values of half-spectrum coefficients."""
+        return np.fft.irfftn(coefficients, s=self.grid.shape, axes=self.axes, norm="forward")
+
+
+@functools.lru_cache(maxsize=8)
+def half_spectrum(grid: GridSpec) -> HalfSpectrum:
+    return HalfSpectrum(grid)
+
+
 def spectral_divergence_max(components) -> float:
-    """max_k |sum_j k_j u^_j(k)| for a tuple of ScalarFields."""
-    grid = components[0].grid
-    ns = grid.modes()
-    div = np.zeros(grid.shape, dtype=complex)
-    for nj, comp in zip(ns, components):
-        div += 2j * np.pi * nj * np.fft.fftn(comp.values, norm="forward")
-    return float(np.max(np.abs(div)))
+    """max_k |sum_j k_j u^_j(k)| over the full spectrum, for a tuple of
+    ScalarFields.
+
+    Computed on the half spectrum.  The coefficients it leaves out are the
+    complex conjugates of stored ones at wave vector -n, and have the same
+    divergence magnitude, except on the Nyquist row n_1 = -N/2 (d = 2),
+    which the fftfreq convention maps to itself: that row is evaluated a
+    second time with n_1 = +N/2.
+    """
+    spec = half_spectrum(components[0].grid)
+    uh = [spec.forward(comp.values) for comp in components]
+    div = sum(ikj * u for ikj, u in zip(spec.ik, uh))
+    peak = float(np.max(np.abs(div)))
+    for row in spec.nyquist_rows:
+        mirrored = sum(ikj[row] * u[row] for ikj, u in zip(spec.ik_mirror, uh))
+        peak = max(peak, float(np.max(np.abs(mirrored))))
+    return peak
 
 
 def _check_same_grid(a: GridSpec, b: GridSpec):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,7 @@ from .grids import (
     SpectralField,
     VelocityField,
     _check_same_grid,
+    half_spectrum,
     to_physical,
     to_spectral,
 )
@@ -68,12 +70,26 @@ def riesz_transform(f: ScalarField, j: int) -> ScalarField:
         raise ValueError("Riesz transforms require d=2")
     if j not in (1, 2):
         raise ValueError(f"component index must be 1 or 2, got {j}")
-    ns = f.grid.modes()
-    nr = f.grid.mode_radius()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mult = np.where(nr > 0, -1j * ns[j - 1] / np.where(nr > 0, nr, 1.0), 0.0)
-    ch = to_spectral(f).coefficients * mult
-    return to_physical(SpectralField(f.grid, ch))
+    spec = half_spectrum(f.grid)
+    ch = spec.forward(f.values) * _riesz_multipliers(f.grid)[j - 1]
+    return ScalarField(f.grid, spec.inverse(ch))
+
+
+@functools.lru_cache(maxsize=8)
+def _riesz_multipliers(grid: GridSpec) -> tuple:
+    """-i n_j / |n| on the half spectrum, 0 at n = 0.
+
+    On the Nyquist line of axis j, n_j = -N/2 is its own mirror, so the real
+    part of the full-spectrum transform cancels that term; it is 0 here too.
+    """
+    spec = half_spectrum(grid)
+    nr = np.where(spec.radius > 0, spec.radius, 1.0)
+    out = []
+    for m in spec.modes:
+        mult = np.where(np.abs(m) == grid.N // 2, 0.0, -1j * m / nr)
+        mult.setflags(write=False)
+        out.append(mult)
+    return tuple(out)
 
 
 def dealias_cutoff(N: int) -> int:
@@ -84,19 +100,18 @@ def dealias_cutoff(N: int) -> int:
     return cut
 
 
-def dealias_mask(grid: GridSpec) -> np.ndarray:
+def dealias_mask(grid: GridSpec, modes: tuple) -> np.ndarray:
+    """2/3-rule mask (Orszag 1971) over the spectral layout of ``modes``,
+    the full one of ``grid.modes()`` or a half spectrum."""
     cut = dealias_cutoff(grid.N)
-    mask = np.ones(grid.shape, dtype=bool)
-    for nj in grid.modes():
-        mask &= np.abs(nj) <= cut
-    return mask
+    return np.logical_and.reduce([np.abs(nj) <= cut for nj in modes])
 
 
 def advect(u: VelocityField, f: ScalarField) -> ScalarField:
     """(u . grad) f, pseudo-spectral with 2/3-rule dealiasing."""
     _check_same_grid(u.grid, f.grid)
     grid = f.grid
-    mask = dealias_mask(grid)
+    mask = dealias_mask(grid, grid.modes())
     fh = np.fft.fftn(f.values, norm="forward") * mask
     prod = np.zeros(grid.shape)
     for nj, comp in zip(grid.modes(), u.components):
@@ -193,8 +208,9 @@ def fractional_laplacian_direct(
     """Principal-value lattice-sum quadrature for (-Laplace)^{1/2}.
 
     Serves as an independent oracle for ``fractional_laplacian_spectral``.
-    The overall constant is calibrated once per (d, N, eps, cell_radius) by
-    matching the operator on cos(2*pi*x1) against the multiplier 2*pi.
+    The overall constant is calibrated once per (d, N, eps, cell_radius,
+    kernel backend) by matching the operator on cos(2*pi*x1) against the
+    multiplier 2*pi.
     """
     grid = f.grid
     if cell_radius is None:
@@ -204,7 +220,7 @@ def fractional_laplacian_direct(
     if eps < grid.h - 1e-15:
         raise ValueError(f"eps={eps} is below the grid spacing {grid.h}")
     K, M = _lattice_kernel(grid, eps, cell_radius)
-    key = (grid.d, grid.N, round(eps * grid.N * 16), cell_radius)
+    key = (grid.d, grid.N, round(eps * grid.N * 16), cell_radius, _kernels._resolve(backend))
     if key not in _calibration_cache:
         x1 = grid.coords()[0]
         probe = ScalarField(grid, np.cos(TWO_PI * x1))
@@ -235,15 +251,14 @@ def random_band_limited(
     if band < 1 or band > grid.N // 2 - 1:
         raise ValueError(f"band must be in [1, N/2-1], got {band}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    noise = rng.standard_normal(grid.shape)
-    ch = np.fft.fftn(noise, norm="forward")
+    noise = ScalarField(grid, rng.standard_normal(grid.shape))
     mask = np.ones(grid.shape, dtype=bool)
     for nj in grid.modes():
         mask &= np.abs(nj) <= band
-    ch *= mask
+    ch = to_spectral(noise).coefficients * mask
     if mean_zero:
         ch.flat[0] = 0.0
-    vals = np.fft.ifftn(ch, norm="forward").real
+    vals = to_physical(SpectralField(grid, ch)).values
     peak = np.max(np.abs(vals))
     if peak > 0:
         vals = vals * (amplitude / peak)

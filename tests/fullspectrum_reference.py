@@ -1,0 +1,117 @@
+"""Frozen full-spectrum stepper: the forward, SQG and dual stepping as it was
+before the half-spectrum plan, on complex ``fftn``/``ifftn`` transforms.
+
+Kept only as a numerical reference for tests/test_spectral_plan.py; the
+library does not use it.  Do not update it to follow library changes.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from driftlab.evolution import REVERSED_SIGN, velocity_function
+from driftlab.grids import GridSpec
+
+TWO_PI = 2.0 * np.pi
+
+
+def _dealias_mask(grid: GridSpec) -> np.ndarray:
+    cut = grid.N // 3
+    if 3 * cut == grid.N:
+        cut -= 1
+    mask = np.ones(grid.shape, dtype=bool)
+    for nj in grid.modes():
+        mask &= np.abs(nj) <= cut
+    return mask
+
+
+class Stepper:
+    """Integrating-factor midpoint RK2 on full complex spectra."""
+
+    def __init__(self, grid: GridSpec, dt: float, alpha: float, adv_sign: float):
+        self.grid = grid
+        self.dt = dt
+        self.adv_sign = adv_sign
+        lam = (TWO_PI * grid.mode_radius()) ** alpha
+        lam.flat[0] = 0.0
+        self.E = np.exp(-lam * dt)
+        self.E_half = np.exp(-lam * (0.5 * dt))
+        self.mask = _dealias_mask(grid)
+        self.ik = tuple(2j * np.pi * nj for nj in grid.modes())
+
+    def nonlinear(self, ch, u_phys):
+        chm = ch * self.mask
+        prod = np.zeros(self.grid.shape)
+        for ikj, uj in zip(self.ik, u_phys):
+            dj = np.fft.ifftn(ikj * chm, norm="forward").real
+            prod += uj * dj
+        ph = np.fft.fftn(prod, norm="forward") * self.mask
+        ph.flat[0] = 0.0
+        return self.adv_sign * ph
+
+    def predictor(self, ch, u0_phys):
+        return self.E_half * (ch + 0.5 * self.dt * self.nonlinear(ch, u0_phys))
+
+    def step(self, ch, u0_phys, umid_phys):
+        mid = self.predictor(ch, u0_phys)
+        a2 = self.nonlinear(mid, umid_phys)
+        return self.E * ch + self.dt * self.E_half * a2
+
+
+def riesz(values: np.ndarray, grid: GridSpec, j: int) -> np.ndarray:
+    ns = grid.modes()
+    nr = grid.mode_radius()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mult = np.where(nr > 0, -1j * ns[j - 1] / np.where(nr > 0, nr, 1.0), 0.0)
+    ch = np.fft.fftn(values, norm="forward") * mult
+    return np.fft.ifftn(ch, norm="forward").real
+
+
+def sqg_velocity(values: np.ndarray, grid: GridSpec) -> tuple:
+    """u = (-R2 theta, R1 theta) as a tuple of arrays."""
+    return (-riesz(values, grid, 2), riesz(values, grid, 1))
+
+
+def divergence_max(components: tuple, grid: GridSpec) -> float:
+    div = np.zeros(grid.shape, dtype=complex)
+    for nj, comp in zip(grid.modes(), components):
+        div += 2j * np.pi * nj * np.fft.fftn(comp, norm="forward")
+    return float(np.max(np.abs(div)))
+
+
+def run_forward(cfg, theta0: np.ndarray) -> np.ndarray:
+    """Final field of a forward run with a fixed ``cfg.dt``."""
+    grid = cfg.grid
+    sign = 1.0 if cfg.sign == REVERSED_SIGN else -1.0
+    stepper = Stepper(grid, cfg.dt, cfg.alpha, sign)
+    vf = None if cfg.kind == "sqg" else velocity_function(cfg.velocity, grid)
+    theta, t = np.asarray(theta0, dtype=float), 0.0
+    u = sqg_velocity(theta, grid) if vf is None else tuple(c.values for c in vf(0.0).components)
+    for _ in range(int(round(cfg.t_end / cfg.dt))):
+        ch = np.fft.fftn(theta, norm="forward")
+        if vf is None:
+            mid = np.fft.ifftn(stepper.predictor(ch, u), norm="forward").real
+            u0, umid = u, sqg_velocity(mid, grid)
+        else:
+            u0 = tuple(c.values for c in vf(t).components)
+            umid = tuple(c.values for c in vf(t + 0.5 * cfg.dt).components)
+        theta = np.fft.ifftn(stepper.step(ch, u0, umid), norm="forward").real
+        t += cfg.dt
+        if vf is None:
+            u = sqg_velocity(theta, grid)
+    return theta
+
+
+def run_dual(cfg, phi: np.ndarray, horizon: float, history) -> np.ndarray:
+    """Final field of a dual run with a fixed ``cfg.dt``."""
+    grid = cfg.grid
+    sign = -1.0 if cfg.sign == REVERSED_SIGN else 1.0
+    stepper = Stepper(grid, cfg.dt, cfg.alpha, sign)
+    ch = np.fft.fftn(np.asarray(phi, dtype=float), norm="forward")
+    s = 0.0
+    for _ in range(int(round(horizon / cfg.dt))):
+        u0 = tuple(c.values for c in history.velocity_at(horizon - s).components)
+        umid = tuple(c.values for c in history.velocity_at(horizon - s - 0.5 * cfg.dt).components)
+        ch = stepper.step(ch, u0, umid)
+        s += cfg.dt
+    return np.fft.ifftn(ch, norm="forward").real

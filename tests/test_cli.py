@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from driftlab import cli, fieldio
+from driftlab import cli, evolution, fieldio
 from driftlab.config import ConfigError, build_initial_field, parse_config, parse_text
 from driftlab.grids import GridSpec, ScalarField, to_spectral
 from driftlab.operators import random_band_limited
@@ -164,6 +164,29 @@ class TestSimulateCommand:
 
     def test_missing_config_flag(self):
         assert cli.main(["simulate"]) == 2
+
+    def test_numerical_blowup_exits_3(self, tmp_path, capsys):
+        cfg = _write_cfg(
+            tmp_path,
+            "grid.d = 2\ngrid.N = 32\ntime.dt = 1e-3\ntime.T = 0.01\n"
+            "initial.amplitude = 1e307\n",
+        )
+        with np.errstate(all="ignore"):
+            code = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert "at step 1 " in capsys.readouterr().err
+
+    def test_sqg_history_not_kept(self, tmp_path, monkeypatch):
+        # the run's velocity history would need 11 * 2 * 32^2 * 8 bytes
+        monkeypatch.setattr(evolution, "HISTORY_MEMORY_CAP", 1024)
+        cfg = _write_cfg(
+            tmp_path,
+            "grid.d = 2\ngrid.N = 32\ntime.dt = 1e-3\ntime.T = 0.01\n"
+            "equation.kind = sqg\ninitial.band = 4\n",
+        )
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "snap_10.tf").exists()
 
 
 class TestDualCommand:

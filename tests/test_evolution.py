@@ -106,6 +106,22 @@ class TestStepping:
         err = NumericalAbort(step=17, t=0.25)
         assert err.step == 17 and err.t == 0.25
 
+    def test_forward_blowup_aborts_at_step_1(self):
+        g = GridSpec(d=2, N=32)
+        theta0 = random_band_limited(g, 4, seed=0, amplitude=1e307)
+        with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as exc:
+            run_forward(SimConfig(grid=g, dt=1e-3, t_end=0.01), theta0)
+        assert exc.value.step == 1
+        assert exc.value.t == pytest.approx(1e-3)
+
+    def test_dual_blowup_aborts_at_step_1(self):
+        g = GridSpec(d=2, N=32)
+        phi = random_band_limited(g, 4, seed=0, amplitude=1e307)
+        history = VelocityHistory.from_static(VelocityField.zero(g))
+        with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as exc:
+            run_dual(SimConfig(grid=g, dt=1e-3), phi, horizon=0.01, history=history)
+        assert exc.value.step == 1
+
 
 class TestSQG:
     def test_velocity_divergence_free(self):

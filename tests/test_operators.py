@@ -178,13 +178,28 @@ class TestDirectOracle:
     def test_numba_backend_agrees(self, monkeypatch):
         g = GridSpec(d=1, N=64)
         f = _cos_field(g, n=2)
-        # the calibration cache is keyed without the backend: give each
-        # backend an empty one so both calibrate their own constant
         monkeypatch.setattr(operators, "_calibration_cache", {})
         a = fractional_laplacian_direct(f, eps=2 * g.h, backend="numba")
-        monkeypatch.setattr(operators, "_calibration_cache", {})
         b = fractional_laplacian_direct(f, eps=2 * g.h, backend="numpy")
         assert np.max(np.abs(a.values - b.values)) < 1e-10
+
+    def test_calibration_per_backend(self, monkeypatch):
+        # a stand-in "numba" kernel twice the numpy one must get its own
+        # constant, not the one the numpy backend calibrated first
+        numpy_apply = _kernels.singular_kernel_apply
+
+        def doubled(values, K, vol, backend=None):
+            scale = 2.0 if backend == "numba" else 1.0
+            return scale * numpy_apply(values, K, vol, backend="numpy")
+
+        monkeypatch.setattr(operators, "_calibration_cache", {})
+        monkeypatch.setattr(_kernels, "singular_kernel_apply", doubled)
+        g = GridSpec(d=1, N=64)
+        f = _cos_field(g)
+        a = fractional_laplacian_direct(f, eps=2 * g.h, backend="numpy")
+        b = fractional_laplacian_direct(f, eps=2 * g.h, backend="numba")
+        assert sorted(key[-1] for key in operators._calibration_cache) == ["numba", "numpy"]
+        assert np.max(np.abs(a.values - b.values)) < 1e-2 * np.max(np.abs(a.values))
 
 
 class TestRandomBandLimited:
