@@ -1,17 +1,21 @@
-"""Hot numeric kernels with numba and pure-numpy implementations.
+"""Hot numeric kernels.
 
-Every kernel comes in two flavors:
+The ball means and oscillations behind the BMO norm (and the L2 oscillation
+ratio of the concentration suite) have one numpy implementation.  The
+singular-integral fractional Laplacian and the Holder pair max come in two
+flavors:
 
 * a loop version compiled with ``numba.njit`` (default when numba is
   available and DRIFTLAB_DISABLE_NUMBA is unset), and
 * a vectorized numpy fallback.
 
-``backend`` arguments accept "numba" or "numpy" to override the default.
+Their ``backend`` arguments accept "numba" or "numpy" to override the default.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .backend import HAVE_NUMBA, USE_NUMBA, njit
 
@@ -38,68 +42,9 @@ def _resolve(backend):
 
 
 # ---------------------------------------------------------------------------
-# BMO ball-oscillation scan
+# ball means and oscillations at strided centers
 
-
-def _bmo_osc_1d(f, offs, stride):
-    N = f.shape[0]
-    m = offs.shape[0]
-    best = 0.0
-    for c in range(0, N, stride):
-        s = 0.0
-        for t in range(m):
-            s += f[(c + offs[t]) % N]
-        mean = s / m
-        osc = 0.0
-        for t in range(m):
-            osc += abs(f[(c + offs[t]) % N] - mean)
-        osc /= m
-        if osc > best:
-            best = osc
-    return best
-
-
-def _bmo_osc_2d(f, offs_i, offs_j, stride):
-    N = f.shape[0]
-    m = offs_i.shape[0]
-    best = 0.0
-    for ci in range(0, N, stride):
-        for cj in range(0, N, stride):
-            s = 0.0
-            for t in range(m):
-                s += f[(ci + offs_i[t]) % N, (cj + offs_j[t]) % N]
-            mean = s / m
-            osc = 0.0
-            for t in range(m):
-                osc += abs(f[(ci + offs_i[t]) % N, (cj + offs_j[t]) % N] - mean)
-            osc /= m
-            if osc > best:
-                best = osc
-    return best
-
-
-def _bmo_osc_1d_numpy(f, offs, stride):
-    N = f.shape[0]
-    centers = np.arange(0, N, stride)
-    idx = (centers[:, None] + offs[None, :]) % N
-    window = f[idx]
-    means = window.mean(axis=1)
-    osc = np.abs(window - means[:, None]).mean(axis=1)
-    return float(osc.max())
-
-
-def _bmo_osc_2d_numpy(f, offs_i, offs_j, stride):
-    N = f.shape[0]
-    m = offs_i.shape[0]
-    sums = np.zeros_like(f)
-    for t in range(m):
-        sums += np.roll(f, (-offs_i[t], -offs_j[t]), axis=(0, 1))
-    means = sums / m
-    osc = np.zeros_like(f)
-    for t in range(m):
-        osc += np.abs(np.roll(f, (-offs_i[t], -offs_j[t]), axis=(0, 1)) - means)
-    osc /= m
-    return float(osc[::stride, ::stride].max())
+_WINDOW_ELEMENTS = 1 << 17  # elements (1 MiB of float64) in one window temporary
 
 
 def ball_offsets(d: int, N: int, radius: float):
@@ -116,19 +61,60 @@ def ball_offsets(d: int, N: int, radius: float):
     return ii.astype(np.int64), jj.astype(np.int64)
 
 
-def bmo_oscillation(values: np.ndarray, radius: float, stride: int = 1, backend=None) -> float:
-    """Max over (strided) ball centers of the mean oscillation at one radius."""
-    backend = _resolve(backend)
-    f = np.ascontiguousarray(values, dtype=np.float64)
-    if f.ndim == 1:
-        (offs,) = ball_offsets(1, f.shape[0], radius)
-        if backend == "numba":
-            return float(_jitted(_bmo_osc_1d)(f, offs, stride))
-        return _bmo_osc_1d_numpy(f, offs, stride)
-    offs_i, offs_j = ball_offsets(2, f.shape[0], radius)
-    if backend == "numba":
-        return float(_jitted(_bmo_osc_2d)(f, offs_i, offs_j, stride))
-    return _bmo_osc_2d_numpy(f, offs_i, offs_j, stride)
+def ball_deviation(values: np.ndarray, offsets, stride: int, n_centers: int, dev) -> np.ndarray:
+    """Mean over the ball c + offsets of dev(f - mean_ball f), at the centers
+    c = stride * k, 0 <= k < n_centers along each axis.
+
+    ``offsets`` is one index array per axis, as from ``ball_offsets``;
+    ``dev`` is a ufunc such as ``np.abs`` or ``np.square``.  The ball means
+    come from one real-FFT correlation with the ball indicator at every
+    node.  The deviations are summed only at the requested centers, one row
+    offset of the ball at a time, from strided windows over the rows it
+    touches: in each row the ball's column offsets are one periodic run
+    around 0, as for any periodic ball.
+    """
+    # oscillations are shift invariant; centering makes a constant field
+    # exactly zero through the transforms
+    f = np.asarray(values, dtype=np.float64)
+    f = f - f.flat[0]
+    d, N = f.ndim, f.shape[0]
+    m = offsets[0].size
+    ball = np.zeros(f.shape)
+    ball[tuple(offsets)] = 1.0
+    spectrum = np.fft.rfftn(f) * np.conj(np.fft.rfftn(ball))
+    sums = np.fft.irfftn(spectrum, s=f.shape, axes=tuple(range(d)))
+    centers = np.arange(n_centers) * stride
+    means = (sums[np.ix_(*[centers] * d)] / m).reshape(-1, n_centers)
+    # a 1-d field is one row; its centers are the columns of that row
+    rows = f.reshape(-1, N)
+    row_centers = centers if d == 2 else np.zeros(1, dtype=np.int64)
+    row_offs = offsets[0] if d == 2 else np.zeros(m, dtype=np.int64)
+    col_offs = offsets[-1]
+    out = np.zeros_like(means)
+    for oi in np.unique(row_offs):
+        run = col_offs[row_offs == oi]
+        start, k = int(np.min((run + N // 2) % N - N // 2)), run.size
+        cols_per = max(1, min(n_centers, _WINDOW_ELEMENTS // k))
+        rows_per = max(1, _WINDOW_ELEMENTS // (cols_per * k))
+        for j0 in range(0, n_centers, cols_per):
+            j1 = min(j0 + cols_per, n_centers)
+            cols = (start + j0 * stride + np.arange((j1 - j0 - 1) * stride + k)) % N
+            for i0 in range(0, row_centers.size, rows_per):
+                i1 = min(i0 + rows_per, row_centers.size)
+                seg = rows[np.ix_((row_centers[i0:i1] + oi) % rows.shape[0], cols)]
+                win = sliding_window_view(seg, k, axis=1)[:, ::stride]
+                t = win - means[i0:i1, j0:j1, None]
+                out[i0:i1, j0:j1] += dev(t, out=t).sum(axis=2)
+    return (out / m).reshape((n_centers,) * d)
+
+
+def bmo_oscillation(values: np.ndarray, radius: float, stride: int = 1) -> float:
+    """Max over the ball centers 0, stride, 2*stride, ... < N (per axis) of
+    the mean oscillation at one radius."""
+    f = np.asarray(values, dtype=np.float64)
+    offsets = ball_offsets(f.ndim, f.shape[0], radius)
+    n_centers = -(-f.shape[0] // stride)
+    return float(ball_deviation(f, offsets, stride, n_centers, np.abs).max())
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +218,14 @@ def _holder_2d(f, dist_pow):
     return best
 
 
+# The numpy kernels visit one offset of each pair {z, -z mod N}: the max over
+# x of |f(x) - f(x+z)| is the same for z and -z, and so is dist_pow.
+
+
 def _holder_1d_numpy(f, dist_pow):
     best = 0.0
     N = f.shape[0]
-    for z in range(1, N):
+    for z in range(1, N // 2 + 1):
         q = np.abs(f - np.roll(f, -z)).max() * dist_pow[z]
         if q > best:
             best = q
@@ -245,8 +235,10 @@ def _holder_1d_numpy(f, dist_pow):
 def _holder_2d_numpy(f, dist_pow):
     best = 0.0
     N = f.shape[0]
-    for zi in range(N):
-        for zj in range(N):
+    for zi in range(N // 2 + 1):
+        # rows 0 and N/2 are their own partners, so they need only half their columns
+        self_paired = zi == 0 or 2 * zi == N
+        for zj in range(N // 2 + 1 if self_paired else N):
             if zi == 0 and zj == 0:
                 continue
             q = np.abs(f - np.roll(f, (-zi, -zj), axis=(0, 1))).max() * dist_pow[zi, zj]

@@ -1,9 +1,9 @@
 """Kernel backend selection.
 
-Hot inner loops (BMO ball scans, the singular-integral fractional
-Laplacian, Holder pair enumeration) have two implementations: a numba
-@njit one and a pure-numpy one.  Set DRIFTLAB_DISABLE_NUMBA=1 to force
-the numpy path (useful for debugging and for the benchmark baseline).
+Two hot inner loops (the singular-integral fractional Laplacian and
+Holder pair enumeration) have two implementations: a numba @njit one and
+a pure-numpy one.  Set DRIFTLAB_DISABLE_NUMBA=1 to force the numpy path
+(useful for debugging and for the benchmark baseline).
 """
 
 import os

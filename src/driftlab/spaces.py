@@ -93,11 +93,12 @@ def default_bmo_radii(grid: GridSpec) -> list:
     return [2.0**-m for m in range(1, mmax + 1)]
 
 
-def bmo_norm(f: ScalarField, radii=None, stride: int = 1, backend=None) -> float:
+def bmo_norm(f: ScalarField, radii=None, stride: int = 1) -> float:
     """Max sampled mean oscillation over periodic balls.
 
     A lower bound of the continuum supremum by construction: centers are
-    (strided) grid nodes, radii default to the dyadic ladder.
+    the grid nodes 0, stride, 2*stride, ... along each axis, radii default
+    to the dyadic ladder.
     """
     if radii is None:
         radii = default_bmo_radii(f.grid)
@@ -109,7 +110,7 @@ def bmo_norm(f: ScalarField, radii=None, stride: int = 1, backend=None) -> float
             raise ValueError(f"radii must lie in (0, 1/2], got {rho}")
     best = 0.0
     for rho in radii:
-        best = max(best, _kernels.bmo_oscillation(f.values, rho, stride=stride, backend=backend))
+        best = max(best, _kernels.bmo_oscillation(f.values, rho, stride=stride))
     _emit("bmo_norm", f, {"value": best, "radii": radii, "stride": stride})
     return best
 
@@ -171,10 +172,24 @@ def smooth_cutoff(xi) -> np.ndarray:
     return out
 
 
+def _band_multipliers(grid: GridSpec, j_min: int, j_max: int):
+    """Spectral multipliers of the bands j_min..j_max, in order.
+
+    Each cutoff level eta(|n| / 2^l) is evaluated once, at the grid's
+    distinct mode radii, and spread over the modes by index.
+    """
+    radii, inverse = np.unique(grid.mode_radius(), return_inverse=True)
+    inverse = inverse.reshape(grid.shape)
+    lower = smooth_cutoff(radii / 2.0 ** (j_min - 1))
+    for j in range(j_min, j_max + 1):
+        upper = smooth_cutoff(radii / 2.0**j)
+        yield (upper - lower)[inverse]
+        lower = upper
+
+
 def band_multiplier(grid: GridSpec, j: int) -> np.ndarray:
     """Spectral multiplier of the level-j band filter."""
-    nr = grid.mode_radius()
-    return smooth_cutoff(nr / 2.0**j) - smooth_cutoff(nr / 2.0 ** (j - 1))
+    return next(_band_multipliers(grid, j, j))
 
 
 def max_band_level(grid: GridSpec) -> int:
@@ -190,17 +205,21 @@ class LPBand:
 
 def lp_projection(f: ScalarField, j: int) -> LPBand:
     """Band-pass f around frequency 2^j."""
-    if 2**j > f.grid.N // 2:
-        raise ValueError(f"band level {j} not resolvable on N={f.grid.N}")
-    ch = to_spectral(f).coefficients * band_multiplier(f.grid, j)
-    band = to_physical(SpectralField(f.grid, ch))
-    return LPBand(j=j, field=band, sup=float(np.max(np.abs(band.values))))
+    return lp_bands(f, j, j)[0]
 
 
 def lp_bands(f: ScalarField, j_min: int = 0, j_max: int | None = None) -> list:
+    """Band-pass f at the levels j_min..j_max from one transform of f."""
     if j_max is None:
         j_max = max_band_level(f.grid)
-    return [lp_projection(f, j) for j in range(j_min, j_max + 1)]
+    if 2**j_max > f.grid.N // 2:
+        raise ValueError(f"band level {j_max} not resolvable on N={f.grid.N}")
+    fh = to_spectral(f).coefficients
+    bands = []
+    for j, mult in zip(range(j_min, j_max + 1), _band_multipliers(f.grid, j_min, j_max)):
+        band = to_physical(SpectralField(f.grid, fh * mult))
+        bands.append(LPBand(j=j, field=band, sup=float(np.max(np.abs(band.values)))))
+    return bands
 
 
 @dataclass(frozen=True)

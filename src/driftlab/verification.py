@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import _kernels
 from .grids import GridSpec, ScalarField, VelocityField
 from .operators import TWO_PI, inner, norms, random_band_limited
 from .spaces import (
@@ -291,18 +292,14 @@ def _l2_oscillation_ratio(u: VelocityField, radii, stride: int) -> float:
     o = np.arange(grid.N)
     d1 = np.minimum(o, grid.N - o) * grid.h
     for comp in u.components:
-        v = comp.values
         for rho in radii:
             if grid.d == 1:
                 mask = d1 <= rho + 1e-15
             else:
                 mask = d1[:, None] ** 2 + d1[None, :] ** 2 <= rho**2 + 1e-15
-            offs = np.argwhere(mask)
-            for c in np.ndindex(*[grid.N // stride] * grid.d):
-                base = tuple(ci * stride for ci in c)
-                idx = tuple((offs[:, k] + base[k]) % grid.N for k in range(grid.d))
-                ball = v[idx]
-                worst = max(worst, float(np.sqrt(np.mean((ball - ball.mean()) ** 2))))
+            n_centers = grid.N // stride
+            msq = _kernels.ball_deviation(comp.values, np.nonzero(mask), stride, n_centers, np.square)
+            worst = max(worst, float(np.sqrt(msq.max())))
     return worst
 
 

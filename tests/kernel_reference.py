@@ -1,0 +1,138 @@
+"""Frozen diagnostic kernels: the BMO ball scans, the L2 oscillation ratio,
+the Holder pair max and the Littlewood-Paley band fit as they were before
+the FFT ball means, the offset-pair halving and the one-transform bands.
+
+Kept only as numerical references for tests/test_kernels.py,
+tests/test_spaces.py and tests/test_verification.py; the library does not
+use them.  Do not update them to follow library changes.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from driftlab.grids import SpectralField, to_physical, to_spectral
+from driftlab.spaces import max_band_level, smooth_cutoff
+
+# ---------------------------------------------------------------------------
+# BMO: every ball summed element by element
+
+
+def bmo_osc_1d(f, offs, stride):
+    N = f.shape[0]
+    m = offs.shape[0]
+    best = 0.0
+    for c in range(0, N, stride):
+        s = 0.0
+        for t in range(m):
+            s += f[(c + offs[t]) % N]
+        mean = s / m
+        osc = 0.0
+        for t in range(m):
+            osc += abs(f[(c + offs[t]) % N] - mean)
+        osc /= m
+        if osc > best:
+            best = osc
+    return best
+
+
+def bmo_osc_2d(f, offs_i, offs_j, stride):
+    N = f.shape[0]
+    m = offs_i.shape[0]
+    best = 0.0
+    for ci in range(0, N, stride):
+        for cj in range(0, N, stride):
+            s = 0.0
+            for t in range(m):
+                s += f[(ci + offs_i[t]) % N, (cj + offs_j[t]) % N]
+            mean = s / m
+            osc = 0.0
+            for t in range(m):
+                osc += abs(f[(ci + offs_i[t]) % N, (cj + offs_j[t]) % N] - mean)
+            osc /= m
+            if osc > best:
+                best = osc
+    return best
+
+
+# ---------------------------------------------------------------------------
+# verification._l2_oscillation_ratio: a Python loop over the centers
+
+
+def l2_oscillation_ratio(u, radii, stride: int) -> float:
+    grid = u.grid
+    worst = 0.0
+    o = np.arange(grid.N)
+    d1 = np.minimum(o, grid.N - o) * grid.h
+    for comp in u.components:
+        v = comp.values
+        for rho in radii:
+            if grid.d == 1:
+                mask = d1 <= rho + 1e-15
+            else:
+                mask = d1[:, None] ** 2 + d1[None, :] ** 2 <= rho**2 + 1e-15
+            offs = np.argwhere(mask)
+            for c in np.ndindex(*[grid.N // stride] * grid.d):
+                base = tuple(ci * stride for ci in c)
+                idx = tuple((offs[:, k] + base[k]) % grid.N for k in range(grid.d))
+                ball = v[idx]
+                worst = max(worst, float(np.sqrt(np.mean((ball - ball.mean()) ** 2))))
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# Holder pair max, numpy path: every nonzero offset z visited
+
+
+def holder_1d_numpy(f, dist_pow):
+    best = 0.0
+    N = f.shape[0]
+    for z in range(1, N):
+        q = np.abs(f - np.roll(f, -z)).max() * dist_pow[z]
+        if q > best:
+            best = q
+    return float(best)
+
+
+def holder_2d_numpy(f, dist_pow):
+    best = 0.0
+    N = f.shape[0]
+    for zi in range(N):
+        for zj in range(N):
+            if zi == 0 and zj == 0:
+                continue
+            q = np.abs(f - np.roll(f, (-zi, -zj), axis=(0, 1))).max() * dist_pow[zi, zj]
+            if q > best:
+                best = q
+    return float(best)
+
+
+# ---------------------------------------------------------------------------
+# Littlewood-Paley fit: one transform of f and two cutoffs over all modes
+# per band
+
+
+def band_multiplier(grid, j: int) -> np.ndarray:
+    nr = grid.mode_radius()
+    return smooth_cutoff(nr / 2.0**j) - smooth_cutoff(nr / 2.0 ** (j - 1))
+
+
+def lp_sups(f) -> list:
+    """Band sup norms at the levels 0..max_band_level."""
+    sups = []
+    for j in range(max_band_level(f.grid) + 1):
+        ch = to_spectral(f).coefficients * band_multiplier(f.grid, j)
+        band = to_physical(SpectralField(f.grid, ch))
+        sups.append(float(np.max(np.abs(band.values))))
+    return sups
+
+
+def holder_from_lp(f, noise_floor_factor: float = 1e-12):
+    """(beta, levels, sups) of the band-decay fit."""
+    floor = noise_floor_factor * float(np.max(np.abs(f.values)))
+    usable = [(j, s) for j, s in enumerate(lp_sups(f)) if s > floor]
+    js = np.array([j for j, _ in usable], dtype=float)
+    slope, _ = np.polyfit(js, np.log([s for _, s in usable]), 1)
+    return float(-slope / math.log(2.0)), tuple(j for j, _ in usable), tuple(s for _, s in usable)

@@ -1,16 +1,19 @@
-"""Backend equivalence: every kernel path must agree with its loop formulation.
+"""Kernel equivalence: every kernel path must agree with a loop formulation.
 
-Each ``*_backends_agree*`` test checks the numpy path against the plain
-Python loop of the same kernel (the function that the numba backend
-compiles), so it runs with or without numba.  Its ``*_numba_agrees*``
-sibling checks the compiled path against numpy and is skipped when numba
-does not import.
+The BMO kernel has one (numpy) implementation; it is checked against the
+element-by-element ball scans in kernel_reference.py.  Each
+``*_backends_agree*`` test of the two-backend kernels checks the numpy path
+against the plain Python loop of the same kernel (the function that the
+numba backend compiles), so it runs with or without numba.  Its
+``*_numba_agrees*`` sibling checks the compiled path against numpy and is
+skipped when numba does not import.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import kernel_reference
 from driftlab import _kernels
 from driftlab.backend import HAVE_NUMBA
 
@@ -36,36 +39,55 @@ def _holder_dist_pow(shape, beta):
 def test_bmo_backends_agree_1d(seed, radius):
     v = _rand(64, seed)
     (offs,) = _kernels.ball_offsets(1, 64, radius)
-    ref = _kernels._bmo_osc_1d(v, offs, 1)
-    b = _kernels.bmo_oscillation(v, radius, stride=1, backend="numpy")
+    ref = kernel_reference.bmo_osc_1d(v, offs, 1)
+    b = _kernels.bmo_oscillation(v, radius, stride=1)
     assert ref == pytest.approx(b, rel=1e-12)
-
-
-@needs_numba
-@given(st.integers(0, 1000), st.sampled_from([0.1, 0.25, 0.5]))
-def test_bmo_numba_agrees_1d(seed, radius):
-    v = _rand(64, seed)
-    a = _kernels.bmo_oscillation(v, radius, stride=1, backend="numba")
-    b = _kernels.bmo_oscillation(v, radius, stride=1, backend="numpy")
-    assert a == pytest.approx(b, rel=1e-12)
 
 
 @given(st.integers(0, 1000))
 def test_bmo_backends_agree_2d(seed):
     v = _rand((16, 16), seed)
     offs_i, offs_j = _kernels.ball_offsets(2, 16, 0.25)
-    ref = _kernels._bmo_osc_2d(v, offs_i, offs_j, 2)
-    b = _kernels.bmo_oscillation(v, 0.25, stride=2, backend="numpy")
+    ref = kernel_reference.bmo_osc_2d(v, offs_i, offs_j, 2)
+    b = _kernels.bmo_oscillation(v, 0.25, stride=2)
     assert ref == pytest.approx(b, rel=1e-12)
 
 
-@needs_numba
-@given(st.integers(0, 1000))
-def test_bmo_numba_agrees_2d(seed):
-    v = _rand((16, 16), seed)
-    a = _kernels.bmo_oscillation(v, 0.25, stride=2, backend="numba")
-    b = _kernels.bmo_oscillation(v, 0.25, stride=2, backend="numpy")
-    assert a == pytest.approx(b, rel=1e-12)
+def _bmo_loop(v, radius, stride):
+    offsets = _kernels.ball_offsets(v.ndim, v.shape[0], radius)
+    if v.ndim == 1:
+        return kernel_reference.bmo_osc_1d(v, *offsets, stride)
+    return kernel_reference.bmo_osc_2d(v, *offsets, stride)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("N", [8, 16, 32])
+@pytest.mark.parametrize("stride", [1, 2, 4])
+def test_bmo_matches_ball_scan(d, N, stride):
+    v = _rand((N,) * d, 10 * N + stride)
+    for radius in (0.5, 0.25, 0.3, 1.0 / N):
+        assert _kernels.bmo_oscillation(v, radius, stride) == pytest.approx(
+            _bmo_loop(v, radius, stride), rel=1e-12
+        )
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_bmo_stride_not_dividing_n(d):
+    # centers 0, 5, ..., 20: the last one's balls wrap past the row end
+    v = _rand((24,) * d, 3)
+    for radius in (0.5, 0.25, 0.1):
+        assert _kernels.bmo_oscillation(v, radius, 5) == pytest.approx(
+            _bmo_loop(v, radius, 5), rel=1e-12
+        )
+
+
+@pytest.mark.parametrize("shape", [(32,), (16, 16)])
+@pytest.mark.parametrize("stride", [1, 3])
+def test_bmo_constant_and_zero_exact(shape, stride):
+    for value in (0.0, 4.0, -1e300, np.pi):
+        v = np.full(shape, value)
+        for radius in (0.5, 0.25, 1.0 / 16):
+            assert _kernels.bmo_oscillation(v, radius, stride) == 0.0
 
 
 def _singular_inputs(seed):
@@ -124,9 +146,27 @@ def test_holder_numba_agrees_2d():
     assert a == pytest.approx(b, rel=1e-12)
 
 
+# one low mode: for beta = 0.1 the max quotient sits at the offset N/2 along
+# the mode's axis, an offset that is its own partner -z
+_COS8 = np.cos(2 * np.pi * np.arange(8) / 8)
+
+
+@pytest.mark.parametrize(
+    "v",
+    [_rand(s, 11) for s in [(47,), (48,), (64,), (9, 9), (12, 12), (16, 16)]]
+    + [_COS8, np.outer(_COS8, np.ones(8)), np.outer(np.ones(8), _COS8)],
+)
+def test_holder_pair_halving_exact(v):
+    # visiting one offset of each pair {z, -z} gives the very same float
+    loop = kernel_reference.holder_1d_numpy if v.ndim == 1 else kernel_reference.holder_2d_numpy
+    for beta in (0.1, 0.3, 0.45):
+        expected = loop(v, _holder_dist_pow(v.shape, beta))
+        assert _kernels.holder_pair_max(v, beta, backend="numpy") == expected
+
+
 def test_unknown_backend_rejected():
     with pytest.raises(ValueError, match="backend"):
-        _kernels.bmo_oscillation(_rand(16, 0), 0.25, backend="fortran")
+        _kernels.holder_pair_max(_rand(16, 0), 0.25, backend="fortran")
 
 
 def test_ball_offsets_counts():

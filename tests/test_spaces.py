@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import kernel_reference
 from driftlab.grids import GridSpec, ScalarField
 from driftlab.operators import inner, norms, random_band_limited
 from driftlab.spaces import (
@@ -28,6 +29,7 @@ from driftlab.spaces import (
     shifted_pairings,
     smooth_cutoff,
 )
+from driftlab.verification import near_delta_bump
 
 TWO_PI = 2 * np.pi
 
@@ -188,6 +190,23 @@ class TestLittlewoodPaley:
         g = GridSpec(d=1, N=1024)
         fit = holder_from_lp(weierstrass(g, 0.3))
         assert fit.beta == pytest.approx(0.3, abs=0.05)
+
+    @pytest.mark.parametrize("d,N,kind", [
+        (2, 128, "random"), (2, 128, "delta"), (1, 1024, "random"), (2, 256, "random"),
+    ])
+    def test_holder_from_lp_matches_band_loop(self, d, N, kind):
+        # one transform and cutoffs at distinct radii give the per-band
+        # loop's sups bit for bit
+        g = GridSpec(d=d, N=N)
+        if kind == "random":
+            f = random_band_limited(g, band=8 if d == 2 else 16, seed=5)
+        else:
+            bump = near_delta_bump(g, width=0.02).values
+            f = ScalarField(g, np.roll(bump, (17, 90), axis=(0, 1)))
+        fit = holder_from_lp(f)
+        assert (fit.beta, fit.levels, fit.sups) == kernel_reference.holder_from_lp(f)
+        for j in range(max_band_level(g) + 1):
+            assert np.array_equal(band_multiplier(g, j), kernel_reference.band_multiplier(g, j))
 
     def test_holder_from_lp_needs_usable_bands(self):
         g = GridSpec(d=1, N=64)

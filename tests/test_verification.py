@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from driftlab.grids import GridSpec, ScalarField
+import kernel_reference
+from driftlab.grids import GridSpec, ScalarField, VelocityField
 from driftlab.operators import norms, random_band_limited
 from driftlab.evolution import SimConfig, VelocitySpec
 from driftlab.spaces import make_test_function
 from driftlab.verification import (
     SUITE_REGISTRY,
     _holder_direct_subsampled,
+    _l2_oscillation_ratio,
     _verdict,
     near_delta_bump,
     run_suite,
@@ -183,6 +185,16 @@ class TestConcentration:
             excess = np.array(rep.series["G"]) - G0
             slopes.append(float(np.sum(x * excess) / np.sum(x * x)))
         assert slopes[1] >= slopes[0] - 1e-9
+
+    @pytest.mark.parametrize("d,N", [(1, 64), (2, 16), (2, 32)])
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    def test_l2_oscillation_matches_ball_loop(self, d, N, stride):
+        g = GridSpec(d=d, N=N)
+        rng = np.random.default_rng(100 * N + stride)
+        u = VelocityField(g, tuple(ScalarField(g, rng.standard_normal(g.shape)) for _ in range(d)))
+        radii = [0.5, 0.25, 0.3, 1.0 / N]
+        expected = kernel_reference.l2_oscillation_ratio(u, radii, stride)
+        assert _l2_oscillation_ratio(u, radii, stride) == pytest.approx(expected, rel=1e-12)
 
 
 class TestL1Decay:
