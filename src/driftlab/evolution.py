@@ -24,19 +24,34 @@ HISTORY_MEMORY_CAP = 2 * 1024**3  # bytes
 
 
 class NumericalAbort(RuntimeError):
-    """Run produced non-finite values."""
+    """Run failed numerically at ``step``, which ends at time ``t``: by
+    default, it produced non-finite values."""
 
-    def __init__(self, step: int, t: float):
-        super().__init__(f"non-finite field values at step {step} (t={t:.6g})")
+    def __init__(self, step: int, t: float, what: str = "non-finite field values"):
+        super().__init__(f"{what} at step {step} (t={t:.6g})")
         self.step = step
         self.t = t
 
 
 class CFLViolation(ValueError):
+    """The configured time step violates the CFL bound of the initial velocity."""
+
     def __init__(self, dt: float, admissible: float):
         super().__init__(
             f"time step {dt:.3e} violates the advective CFL bound; "
             f"admissible dt <= {admissible:.3e}"
+        )
+        self.admissible_dt = admissible
+
+
+class CFLAbort(NumericalAbort):
+    """The velocity grew during a run past the CFL bound of its fixed time step."""
+
+    def __init__(self, step: int, t: float, dt: float, admissible: float):
+        super().__init__(
+            step, t,
+            f"time step {dt:.3e} violates the advective CFL bound "
+            f"(admissible dt <= {admissible:.3e})",
         )
         self.admissible_dt = admissible
 
@@ -236,6 +251,7 @@ class SpectralPlan:
 
     def __init__(self, grid: GridSpec, alpha: float, dt: float, adv_sign: float):
         spec = half_spectrum(grid)
+        self.grid = grid
         self.dt = dt
         self.forward = spec.forward
         self.inverse = spec.inverse
@@ -254,9 +270,22 @@ class SpectralPlan:
             a.setflags(write=False)  # shared by every caller of the cached plan
 
     def nonlinear(self, ch: np.ndarray, u_phys: tuple) -> np.ndarray:
-        """Dealiased spectral tendency of sign * (u.grad)theta."""
+        """Dealiased spectral tendency of sign * (u.grad)theta; a velocity
+        that is zero everywhere costs no transform."""
+        if not any(uj.any() for uj in u_phys):
+            return self.zero_tendency
         prod = sum(uj * self.inverse(ikj * ch) for ikj, uj in zip(self.ik, u_phys))
         return self.forward(prod) * self.mask
+
+    @functools.cached_property
+    def zero_tendency(self) -> np.ndarray:
+        """Tendency of a zero velocity for any finite field: the transform
+        of the zero product that the full path forms, made once per plan.
+        Its signed zeros keep a zero-velocity step bit-identical to the
+        full path."""
+        z = self.forward(np.zeros(self.grid.shape)) * self.mask
+        z.setflags(write=False)
+        return z
 
     def predictor(self, ch: np.ndarray, u0_phys: tuple) -> np.ndarray:
         """Midpoint coefficients, with the velocity at the step start."""
@@ -280,39 +309,52 @@ def _u_phys(u: VelocityField) -> tuple:
     return tuple(c.values for c in u.components)
 
 
-def _check_cfl(grid: GridSpec, dt: float, umax: float):
+def _check_cfl(grid: GridSpec, dt: float, umax: float, step: int, t: float):
+    """CFL bound of ``step`` (ending at ``t``) for the velocity at its start.
+
+    On the first step a violation is a configuration error (CFLViolation);
+    later, the velocity has outgrown the run's time step (CFLAbort).
+    """
     if umax > 0.0 and dt * umax * grid.N > CFL_LIMIT + 1e-12:
-        raise CFLViolation(dt, cfl_admissible_dt(grid, umax))
+        admissible = cfl_admissible_dt(grid, umax)
+        if step == 1:
+            raise CFLViolation(dt, admissible)
+        raise CFLAbort(step, t, dt, admissible)
 
 
 def _finite_field(grid: GridSpec, values: np.ndarray, step: int, t: float) -> ScalarField:
     """Wrap new grid values, raising NumericalAbort if any is not finite."""
-    if not np.all(np.isfinite(values)):
-        raise NumericalAbort(step, t)
-    return ScalarField(grid, values)
+    try:
+        return ScalarField(grid, values)
+    except ValueError:  # the values have the grid's shape: they are not finite
+        raise NumericalAbort(step, t) from None
 
 
-def step_forward(state: EvolutionState, cfg: SimConfig) -> EvolutionState:
-    """Advance one step; velocity recomputed from theta for SQG runs."""
+def step_forward(state: EvolutionState, cfg: SimConfig, velocity=None) -> EvolutionState:
+    """Advance one step; velocity recomputed from theta for SQG runs.
+
+    ``velocity`` is the run's t -> VelocityField of a prescribed drift (see
+    ``velocity_function``); without it, a time-modulated drift is built from
+    ``cfg.velocity`` for this step.  The step starts from ``state.u``.
+    """
     grid = cfg.grid
     umax = state.u.max_norm()
     dt = cfg.dt if cfg.dt is not None else default_dt(grid, umax)
-    _check_cfl(grid, dt, umax)
+    step, t = state.step + 1, state.t + dt
+    _check_cfl(grid, dt, umax, step, t)
     sign = 1.0 if cfg.sign == REVERSED_SIGN else -1.0
     plan = spectral_plan(grid, cfg.alpha, dt, sign)
-    step, t = state.step + 1, state.t + dt
     vf = None
     if cfg.kind != "sqg" and cfg.velocity.omega != 0.0:
-        vf = velocity_function(cfg.velocity, grid)
-    u0 = state.u if vf is None else vf(state.t)
+        vf = velocity if velocity is not None else velocity_function(cfg.velocity, grid)
     ch = plan.forward(state.theta.values)
-    mid = plan.predictor(ch, _u_phys(u0))
+    mid = plan.predictor(ch, _u_phys(state.u))
     if cfg.kind == "sqg":
         umid = sqg_velocity(_finite_field(grid, plan.inverse(mid), step, t))
     elif vf is not None:
         umid = vf(state.t + 0.5 * dt)
     else:
-        umid = u0
+        umid = state.u
     ch_new = plan.corrector(ch, mid, _u_phys(umid))
     theta_new = _finite_field(grid, plan.inverse(ch_new), step, t)
     if cfg.kind == "sqg":
@@ -390,7 +432,7 @@ def run_forward(cfg: SimConfig, theta0: ScalarField) -> RunResult:
     states = [state]
     diags = [_diag_row(state, cfg)]
     for _ in range(nsteps):
-        state = step_forward(state, cfg)
+        state = step_forward(state, cfg, vf)
         if store_history:
             hist_times.append(state.t)
             hist_samples.append(_u_phys(state.u))
@@ -447,7 +489,7 @@ def run_dual(
     svals, l1s, linfs, means = [0.0], [norms(phi).l1], [norms(phi).linf], [phi.mean()]
     for step in range(1, nsteps + 1):
         u0 = history.velocity_at(horizon - s)
-        _check_cfl(grid, dt, u0.max_norm())
+        _check_cfl(grid, dt, u0.max_norm(), step, s + dt)
         umid = history.velocity_at(horizon - s - 0.5 * dt)
         ch = plan.step(ch, _u_phys(u0), _u_phys(umid))
         s += dt

@@ -169,7 +169,7 @@ class TestSimulateCommand:
         cfg = _write_cfg(
             tmp_path,
             "grid.d = 2\ngrid.N = 32\ntime.dt = 1e-3\ntime.T = 0.01\n"
-            "initial.amplitude = 1e307\n",
+            "initial.amplitude = 1e307\nvelocity.kind = constant\n",
         )
         with np.errstate(all="ignore"):
             code = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")])
@@ -215,6 +215,23 @@ class TestDualCommand:
         assert cli.main(["dual", "--config", cfg, "--out", str(out)]) == 0
         back = fieldio.load_field(out / "snap_final.tf")
         assert np.array_equal(back.values, src.values)
+
+    def test_velocity_outgrowing_dt_exits_3(self, tmp_path, capsys):
+        # dual time s sees u = 100 sin(10 pi s): CFL-admissible for dt = 1e-3
+        # (u <= 7.8125) until the start of step 4, where u = 9.41
+        text = (
+            "grid.N = 64\ntime.dt = 1e-3\ndual.horizon = 0.05\n"
+            "velocity.kind = constant\nvelocity.constant = 100\n"
+        )
+        cfg = _write_cfg(tmp_path, text + "velocity.omega = 31.41592653589793\n")
+        assert cli.main(["dual", "--config", cfg, "--out", str(tmp_path / "run")]) == 3
+        err = capsys.readouterr().err
+        assert "CFL" in err and "at step 4 (t=0.004)" in err
+        assert "admissible dt <= 8.302e-04" in err
+        # the same drift unmodulated violates the bound on the first step
+        cfg = _write_cfg(tmp_path, text, name="steady.cfg")
+        assert cli.main(["dual", "--config", cfg, "--out", str(tmp_path / "steady")]) == 2
+        assert "admissible dt <= 7.813e-05" in capsys.readouterr().err
 
     def test_sqg_history_gap(self, tmp_path):
         cfg = _write_cfg(tmp_path, "grid.d = 2\ngrid.N = 16\nequation.kind = sqg\n")

@@ -7,6 +7,7 @@ from driftlab import evolution
 from driftlab.grids import GridSpec, ScalarField, VelocityField, to_spectral
 from driftlab.operators import norms, random_band_limited
 from driftlab.evolution import (
+    CFLAbort,
     CFLViolation,
     NumericalAbort,
     SimConfig,
@@ -107,20 +108,59 @@ class TestStepping:
         assert err.step == 17 and err.t == 0.25
 
     def test_forward_blowup_aborts_at_step_1(self):
+        # the advection term of a nonzero velocity overflows on this datum
         g = GridSpec(d=2, N=32)
         theta0 = random_band_limited(g, 4, seed=0, amplitude=1e307)
+        cfg = SimConfig(grid=g, dt=1e-3, t_end=0.01, velocity=VelocitySpec(kind="constant"))
         with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as exc:
-            run_forward(SimConfig(grid=g, dt=1e-3, t_end=0.01), theta0)
+            run_forward(cfg, theta0)
         assert exc.value.step == 1
         assert exc.value.t == pytest.approx(1e-3)
 
     def test_dual_blowup_aborts_at_step_1(self):
         g = GridSpec(d=2, N=32)
         phi = random_band_limited(g, 4, seed=0, amplitude=1e307)
-        history = VelocityHistory.from_static(VelocityField.zero(g))
+        history = VelocityHistory.from_static(VelocityField.constant(g, (1.0, 1.0)))
         with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as exc:
             run_dual(SimConfig(grid=g, dt=1e-3), phi, horizon=0.01, history=history)
         assert exc.value.step == 1
+
+    def test_zero_velocity_on_the_blowup_datum_is_pure_dissipation(self):
+        # no advection term is formed, so nothing overflows: each forward
+        # step is one exact semigroup step, and the dual run applies E ten times
+        g = GridSpec(d=2, N=32)
+        datum = random_band_limited(g, 4, seed=0, amplitude=1e307)
+        cfg = SimConfig(grid=g, dt=1e-3, t_end=0.01)
+        plan = evolution.spectral_plan(g, cfg.alpha, cfg.dt, 1.0)
+        theta = datum.values
+        for _ in range(10):
+            theta = plan.inverse(plan.E * plan.forward(theta))
+        ch = plan.forward(datum.values)
+        for _ in range(10):
+            ch = plan.E * ch
+        history = VelocityHistory.from_static(VelocityField.zero(g))
+        # the sums behind the diagnostics' norms and means overflow on this datum
+        with np.errstate(over="ignore", invalid="ignore"):
+            fwd = run_forward(cfg, datum).states[-1].theta.values
+            dual = run_dual(cfg, datum, horizon=0.01, history=history).states[-1].phi.values
+        assert np.all(np.isfinite(fwd)) and np.max(np.abs(fwd)) > 1e306
+        assert np.array_equal(fwd, theta)
+        assert np.array_equal(dual, plan.inverse(ch))
+
+    def test_velocity_growing_past_the_cfl_bound_aborts(self):
+        # dual time s sees u = 1000 s: admissible at step 1, not from step 9
+        g = GridSpec(d=1, N=64)
+        history = VelocityHistory.from_callable(
+            g, lambda t: VelocityField.constant(g, (1000.0 * (0.05 - t),))
+        )
+        phi = random_band_limited(g, 4, seed=0)
+        with pytest.raises(CFLAbort) as exc:
+            run_dual(SimConfig(grid=g, dt=1e-3), phi, horizon=0.05, history=history)
+        assert isinstance(exc.value, NumericalAbort)
+        assert exc.value.step == 9
+        assert exc.value.t == pytest.approx(9e-3)
+        assert exc.value.admissible_dt == pytest.approx(cfl_admissible_dt(g, 8.0))
+        assert "at step 9 " in str(exc.value)
 
 
 class TestSQG:
@@ -141,6 +181,19 @@ class TestSQG:
         cfg = SimConfig(grid=g, kind="sqg", dt=1e-3, t_end=0.1)
         final = run_forward(cfg, theta0).states[-1].theta
         assert np.max(np.abs(final.values - math.exp(-TWO_PI * 0.1) * theta0.values)) < 1e-12
+
+    def test_forward_self_convergence(self):
+        # midpoint RK2: halving dt divides the change in the final field by ~4
+        g = GridSpec(d=2, N=32)
+        theta0 = random_band_limited(g, band=4, seed=5)
+        finals = [
+            run_forward(SimConfig(grid=g, kind="sqg", dt=dt, t_end=0.1), theta0).states[-1]
+            for dt in (4e-3, 2e-3, 1e-3)
+        ]
+        assert all(s.t == pytest.approx(0.1) for s in finals)
+        a, b, c = (s.theta.values for s in finals)
+        ratio = np.max(np.abs(a - b)) / np.max(np.abs(b - c))
+        assert ratio >= 3.5
 
     def test_history_memory_cap(self, monkeypatch):
         g = GridSpec(d=2, N=32)

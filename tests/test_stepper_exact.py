@@ -1,0 +1,151 @@
+"""The stepper against its frozen pre-skip version (stepper_reference.py).
+
+A zero-velocity stage skips its transforms and a modulated drift is built
+once per run; neither may change a single bit of a final field.  The
+transform counts and the one build per run are checked here too.
+"""
+
+import numpy as np
+import pytest
+
+import stepper_reference as ref
+from driftlab import evolution
+from driftlab.evolution import (
+    REVERSED_SIGN,
+    STANDARD_SIGN,
+    EvolutionState,
+    SimConfig,
+    VelocityHistory,
+    VelocitySpec,
+    run_dual,
+    run_forward,
+    shear_velocity,
+    spectral_plan,
+    step_forward,
+    velocity_function,
+)
+from driftlab.grids import GridSpec, VelocityField
+from driftlab.operators import random_band_limited
+
+G1 = GridSpec(d=1, N=64)
+G2 = GridSpec(d=2, N=32)
+ZERO = VelocitySpec()
+SHEAR = VelocitySpec(kind="shear", amplitude=1.5)
+MODULATED = VelocitySpec(kind="shear", amplitude=1.5, omega=7.0)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal arrays, down to the sign of every zero."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "grid, kind, velocity, sign",
+    [
+        (G1, "drift", ZERO, REVERSED_SIGN),
+        (G2, "drift", ZERO, REVERSED_SIGN),
+        (G2, "drift", ZERO, STANDARD_SIGN),
+        (G2, "drift", VelocitySpec(kind="constant"), REVERSED_SIGN),
+        (G2, "drift", SHEAR, REVERSED_SIGN),
+        (G2, "drift", SHEAR, STANDARD_SIGN),
+        (G2, "drift", MODULATED, REVERSED_SIGN),
+        (G2, "drift", MODULATED, STANDARD_SIGN),
+        (G1, "drift", VelocitySpec(kind="constant", omega=5.0), REVERSED_SIGN),
+        (G2, "sqg", ZERO, REVERSED_SIGN),
+    ],
+    ids=["zero_d1", "zero_d2", "zero_d2_standard", "constant", "shear", "shear_standard",
+         "modulated", "modulated_standard", "modulated_constant_d1", "sqg"],
+)
+def test_forward_is_bit_identical(grid, kind, velocity, sign):
+    cfg = SimConfig(grid=grid, kind=kind, sign=sign, velocity=velocity, dt=2e-3, t_end=0.06)
+    theta0 = random_band_limited(grid, band=6, seed=21)
+    got = run_forward(cfg, theta0).states[-1].theta.values
+    assert _same_bits(got, ref.run_forward(cfg, theta0.values))
+
+
+@pytest.mark.parametrize(
+    "grid, velocity",
+    [(G1, ZERO), (G2, ZERO), (G2, MODULATED), (G1, VelocitySpec(kind="constant", omega=5.0))],
+    ids=["zero_d1", "zero_d2", "modulated", "modulated_constant_d1"],
+)
+def test_dual_is_bit_identical(grid, velocity):
+    cfg = SimConfig(grid=grid, velocity=velocity, dt=2e-3)
+    history = VelocityHistory.from_callable(grid, velocity_function(velocity, grid))
+    phi = random_band_limited(grid, band=6, seed=22)
+    got = run_dual(cfg, phi, horizon=0.06, history=history).states[-1].phi.values
+    assert _same_bits(got, ref.run_dual(cfg, phi.values, 0.06, history))
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Counts np.fft.rfftn and np.fft.irfftn calls."""
+    calls = []
+    for name in ("rfftn", "irfftn"):
+        func = getattr(np.fft, name)
+
+        def counted(*args, _func=func, **kwargs):
+            calls.append(1)
+            return _func(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def _drift_state(grid: GridSpec, u: VelocityField) -> EvolutionState:
+    return EvolutionState(t=0.0, theta=random_band_limited(grid, band=4, seed=0), u=u, step=0)
+
+
+@pytest.mark.parametrize("grid", [G1, G2], ids=["d1", "d2"])
+def test_zero_velocity_forward_step_makes_two_transforms(grid, fft_calls):
+    cfg = SimConfig(grid=grid, dt=1e-3)
+    state = _drift_state(grid, VelocityField.zero(grid))
+    state = step_forward(state, cfg)  # builds the plan and its zero tendency
+    fft_calls.clear()
+    step_forward(state, cfg)
+    assert len(fft_calls) == 2
+
+
+def test_zero_velocity_dual_step_makes_one_transform(fft_calls):
+    cfg = SimConfig(grid=G2, dt=1e-3)
+    history = VelocityHistory.from_static(VelocityField.zero(G2))
+    phi = random_band_limited(G2, band=4, seed=0)
+    run_dual(cfg, phi, horizon=1e-3, history=history)
+    fft_calls.clear()
+    run_dual(cfg, phi, horizon=0.01, history=history)
+    # the initial forward transform, then one inverse per step
+    assert len(fft_calls) == 1 + 10
+
+
+def test_shear_step_keeps_its_eight_transforms(fft_calls):
+    # the first component of a shear is zero, the second is not
+    cfg = SimConfig(grid=G2, dt=1e-3, velocity=SHEAR)
+    state = _drift_state(G2, shear_velocity(G2, SHEAR.amplitude))
+    spectral_plan(G2, cfg.alpha, cfg.dt, 1.0)
+    fft_calls.clear()
+    step_forward(state, cfg)
+    assert len(fft_calls) == 8
+
+
+def test_modulated_run_builds_its_drift_once(monkeypatch):
+    built = []
+    build = evolution.build_prescribed_velocity
+
+    def counted(spec, grid):
+        built.append(spec)
+        return build(spec, grid)
+
+    monkeypatch.setattr(evolution, "build_prescribed_velocity", counted)
+    cfg = SimConfig(grid=G2, dt=2e-3, t_end=0.02, velocity=MODULATED)
+    result = run_forward(cfg, random_band_limited(G2, band=4, seed=0))
+    assert result.states[-1].step == 10
+    assert len(built) == 1
+
+
+def test_two_argument_step_builds_a_modulated_drift():
+    cfg = SimConfig(grid=G2, dt=2e-3, t_end=0.02, velocity=MODULATED)
+    vf = velocity_function(MODULATED, G2)
+    state = EvolutionState(t=0.0, theta=random_band_limited(G2, band=4, seed=0), u=vf(0.0), step=0)
+    a = step_forward(state, cfg)
+    b = step_forward(state, cfg, vf)
+    assert _same_bits(a.theta.values, b.theta.values)
+    assert _same_bits(a.u.components[1].values, vf(2e-3).components[1].values)
