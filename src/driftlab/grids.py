@@ -274,6 +274,11 @@ class VelocityField:
         return cls(grid, comps, divergence_free=True)
 
     def max_norm(self) -> float:
+        """max over nodes of |u|; computed once, as the field is immutable."""
+        return self._max_norm
+
+    @functools.cached_property
+    def _max_norm(self) -> float:
         speed = np.zeros(self.grid.shape)
         for c in self.components:
             speed += c.values**2

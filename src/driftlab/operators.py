@@ -194,8 +194,8 @@ def _core_correction(f: ScalarField, M: np.ndarray) -> np.ndarray:
     return -0.5 * (M[0, 0] * d11 + 2 * M[0, 1] * d12 + M[1, 1] * d22)
 
 
-def _raw_apply(f: ScalarField, K: np.ndarray, M: np.ndarray, backend=None) -> np.ndarray:
-    out = _kernels.singular_kernel_apply(f.values, K, f.grid.cell_volume, backend=backend)
+def _raw_apply(f: ScalarField, K: np.ndarray, M: np.ndarray) -> np.ndarray:
+    out = _kernels.singular_kernel_apply(f.values, K, f.grid.cell_volume)
     return out + _core_correction(f, M)
 
 
@@ -203,14 +203,14 @@ def fractional_laplacian_direct(
     f: ScalarField,
     eps: float,
     cell_radius: int | None = None,
-    backend=None,
 ) -> ScalarField:
     """Principal-value lattice-sum quadrature for (-Laplace)^{1/2}.
 
     Serves as an independent oracle for ``fractional_laplacian_spectral``.
-    The overall constant is calibrated once per (d, N, eps, cell_radius,
-    kernel backend) by matching the operator on cos(2*pi*x1) against the
-    multiplier 2*pi.
+    The lattice kernel is applied by one FFT correlation; the kernel itself
+    is the real-space lattice sum, not the spectral multiplier.  The overall
+    constant is calibrated once per (d, N, eps, cell_radius) by matching the
+    operator on cos(2*pi*x1) against the multiplier 2*pi.
     """
     grid = f.grid
     if cell_radius is None:
@@ -220,15 +220,15 @@ def fractional_laplacian_direct(
     if eps < grid.h - 1e-15:
         raise ValueError(f"eps={eps} is below the grid spacing {grid.h}")
     K, M = _lattice_kernel(grid, eps, cell_radius)
-    key = (grid.d, grid.N, round(eps * grid.N * 16), cell_radius, _kernels._resolve(backend))
+    key = (grid.d, grid.N, round(eps * grid.N * 16), cell_radius)
     if key not in _calibration_cache:
         x1 = grid.coords()[0]
         probe = ScalarField(grid, np.cos(TWO_PI * x1))
-        raw = _raw_apply(probe, K, M, backend=backend)
+        raw = _raw_apply(probe, K, M)
         target = TWO_PI * probe.values
         _calibration_cache[key] = float(np.sum(target * raw) / np.sum(raw * raw))
     c = _calibration_cache[key]
-    return ScalarField(grid, c * _raw_apply(f, K, M, backend=backend))
+    return ScalarField(grid, c * _raw_apply(f, K, M))
 
 
 # ---------------------------------------------------------------------------

@@ -55,12 +55,7 @@ def omega_weight(x, x0) -> float:
 
 def omega_offset_array(grid: GridSpec) -> np.ndarray:
     """Omega evaluated at every grid offset (node minus center)."""
-    o = np.arange(grid.N)
-    d1 = np.minimum(o, grid.N - o) * grid.h
-    if grid.d == 1:
-        dist = d1
-    else:
-        dist = np.sqrt(d1[:, None] ** 2 + d1[None, :] ** 2)
+    dist = _kernels.offset_distance(grid.d, grid.N)
     return np.where(dist < 0.5, np.sqrt(dist), OMEGA_PLATEAU)
 
 
@@ -121,7 +116,7 @@ def bmo_norm(f: ScalarField, radii=None, stride: int = 1) -> float:
 PAIR_GUARD = 2**26
 
 
-def holder_seminorm_direct(f: ScalarField, beta: float, backend=None) -> float:
+def holder_seminorm_direct(f: ScalarField, beta: float) -> float:
     """Exact max over grid pairs of |f(x)-f(y)| / dist(x,y)^beta."""
     if not 0.0 < beta < 0.5:
         raise ValueError(f"beta must be in (0, 1/2), got {beta}")
@@ -131,7 +126,7 @@ def holder_seminorm_direct(f: ScalarField, beta: float, backend=None) -> float:
             f"pair enumeration needs N^(2d) <= {PAIR_GUARD}; "
             f"got {grid.size**2}; use holder_from_lp instead"
         )
-    value = _kernels.holder_pair_max(f.values, beta, backend=backend)
+    value = _kernels.holder_pair_max(f.values, beta)
     _emit("holder_seminorm_direct", f, {"value": value, "beta": beta})
     return value
 

@@ -289,8 +289,7 @@ def _l2_oscillation_ratio(u: VelocityField, radii, stride: int) -> float:
     """
     grid = u.grid
     worst = 0.0
-    o = np.arange(grid.N)
-    d1 = np.minimum(o, grid.N - o) * grid.h
+    d1 = _kernels.offset_distance(1, grid.N)
     for comp in u.components:
         for rho in radii:
             if grid.d == 1:

@@ -1,10 +1,12 @@
 """Frozen diagnostic kernels: the BMO ball scans, the L2 oscillation ratio,
 the Holder pair max and the Littlewood-Paley band fit as they were before
-the FFT ball means, the offset-pair halving and the one-transform bands.
+the FFT ball means, the offset-pair halving and the one-transform bands;
+and the element-by-element loops of the singular lattice sum and the Holder
+pair max.
 
 Kept only as numerical references for tests/test_kernels.py,
-tests/test_spaces.py and tests/test_verification.py; the library does not
-use them.  Do not update them to follow library changes.
+tests/test_operators.py, tests/test_spaces.py and tests/test_verification.py;
+the library does not use them.  Do not update them to follow library changes.
 """
 
 from __future__ import annotations
@@ -80,6 +82,74 @@ def l2_oscillation_ratio(u, radii, stride: int) -> float:
                 ball = v[idx]
                 worst = max(worst, float(np.sqrt(np.mean((ball - ball.mean()) ** 2))))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# direct fractional Laplacian lattice sum, element by element:
+# out[x] = cellvol * sum_z K[z] * (f[x] - f[x+z])
+
+
+def kernel_apply_1d(f, K, cellvol):
+    N = f.shape[0]
+    S = 0.0
+    for z in range(N):
+        S += K[z]
+    out = np.empty_like(f)
+    for x in range(N):
+        acc = 0.0
+        for z in range(N):
+            acc += K[z] * f[(x + z) % N]
+        out[x] = cellvol * (S * f[x] - acc)
+    return out
+
+
+def kernel_apply_2d(f, K, cellvol):
+    N = f.shape[0]
+    S = 0.0
+    for zi in range(N):
+        for zj in range(N):
+            S += K[zi, zj]
+    out = np.empty_like(f)
+    for xi in range(N):
+        for xj in range(N):
+            acc = 0.0
+            for zi in range(N):
+                for zj in range(N):
+                    acc += K[zi, zj] * f[(xi + zi) % N, (xj + zj) % N]
+            out[xi, xj] = cellvol * (S * f[xi, xj] - acc)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Holder pair max, element by element
+
+
+def holder_1d(f, dist_pow):
+    N = f.shape[0]
+    best = 0.0
+    for z in range(1, N):
+        w = dist_pow[z]
+        for x in range(N):
+            q = abs(f[x] - f[(x + z) % N]) * w
+            if q > best:
+                best = q
+    return best
+
+
+def holder_2d(f, dist_pow):
+    N = f.shape[0]
+    best = 0.0
+    for zi in range(N):
+        for zj in range(N):
+            if zi == 0 and zj == 0:
+                continue
+            w = dist_pow[zi, zj]
+            for xi in range(N):
+                for xj in range(N):
+                    q = abs(f[xi, xj] - f[(xi + zi) % N, (xj + zj) % N]) * w
+                    if q > best:
+                        best = q
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 A zero-velocity stage skips its transforms and a modulated drift is built
 once per run; neither may change a single bit of a final field.  The
-transform counts and the one build per run are checked here too.
+transform counts, the one build per run and the one velocity norm per
+run are checked here too.
 """
 
 import numpy as np
@@ -149,3 +150,25 @@ def test_two_argument_step_builds_a_modulated_drift():
     b = step_forward(state, cfg, vf)
     assert _same_bits(a.theta.values, b.theta.values)
     assert _same_bits(a.u.components[1].values, vf(2e-3).components[1].values)
+
+
+def test_a_run_computes_the_velocity_norm_once(monkeypatch):
+    # the CFL check runs on every step; an unmodulated run has one velocity
+    computed = []
+    norm = VelocityField.__dict__["_max_norm"]
+    compute = norm.func
+
+    def counted(u):
+        computed.append(u)
+        return compute(u)
+
+    monkeypatch.setattr(norm, "func", counted)
+    cfg = SimConfig(grid=G2, dt=2e-3, t_end=0.02, velocity=SHEAR)
+    result = run_forward(cfg, random_band_limited(G2, band=4, seed=0))
+    assert result.states[-1].step == 10
+    assert len(computed) == 1 and computed[0] is result.states[-1].u
+    computed.clear()
+    u = shear_velocity(G2, SHEAR.amplitude)
+    run_dual(cfg, random_band_limited(G2, band=4, seed=0), horizon=0.02,
+             history=VelocityHistory.from_static(u))
+    assert len(computed) == 1 and computed[0] is u
