@@ -6,7 +6,6 @@ import argparse
 import concurrent.futures
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, RunPlan, _SCHEMA, build_initial_field, parse_config
@@ -88,8 +87,7 @@ def _manifest(plan: RunPlan, out: Path) -> fieldio.RunManifest:
 def cmd_simulate(args) -> int:
     plan = _require_config(args)
     theta0 = build_initial_field(plan)
-    # nothing here reads the SQG velocity history: do not keep it
-    result = run_forward(replace(plan.config, store_history=False), theta0)
+    result = run_forward(plan.config, theta0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = _manifest(plan, out)

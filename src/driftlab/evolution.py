@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grids import GridSpec, ScalarField, VelocityField, half_spectrum
-from .operators import TWO_PI, dealias_mask, norms, riesz_transform
+from .operators import TWO_PI, AdvectionTendency, norms, riesz_transform
 
 REVERSED_SIGN = "reversed"  # theta_t = +(u.grad)theta - Lambda theta
 STANDARD_SIGN = "standard"  # theta_t = -(u.grad)theta - Lambda theta
@@ -147,7 +147,7 @@ class SimConfig:
     seed: int = 0
     track_bmo: bool = False
     track_beta: bool = False
-    store_history: bool = True   # keep per-step SQG velocity for later dual runs
+    store_history: bool = False  # keep per-step SQG velocity for later dual runs
 
     def __post_init__(self):
         if self.kind not in ("drift", "sqg"):
@@ -240,52 +240,24 @@ class VelocityHistory:
         return VelocityField(self.grid, fields, divergence_free=False)
 
 
-class SpectralPlan:
+class SpectralPlan(AdvectionTendency):
     """Integrating-factor midpoint RK2 core on the rfftn half spectrum.
 
     The dissipation semigroup is applied exactly; the dealiased advection
-    tendency is advanced by the midpoint rule (second order).  One plan per
-    (grid, alpha, dt, advection sign) is built by ``spectral_plan`` and
-    reused by every step of the forward, SQG and dual runs.
+    tendency (``AdvectionTendency.nonlinear``) is advanced by the midpoint
+    rule (second order).  One plan per (grid, alpha, dt, advection sign) is
+    built by ``spectral_plan`` and reused by every step of the forward, SQG
+    and dual runs.
     """
 
     def __init__(self, grid: GridSpec, alpha: float, dt: float, adv_sign: float):
-        spec = half_spectrum(grid)
-        self.grid = grid
+        super().__init__(grid, adv_sign)
         self.dt = dt
-        self.forward = spec.forward
-        self.inverse = spec.inverse
-        lam = (TWO_PI * spec.radius) ** alpha
-        lam.flat[0] = 0.0
+        lam = (TWO_PI * half_spectrum(grid).radius) ** alpha
         self.E = np.exp(-lam * dt)
         self.E_half = np.exp(-lam * (0.5 * dt))
-        # the dealiasing mask is folded into the derivative multipliers and,
-        # with the advection sign and the mean mode removed, into the mask
-        # applied to the product
-        mask = dealias_mask(grid, spec.modes)
-        self.ik = tuple(ikj * mask for ikj in spec.ik)
-        self.mask = adv_sign * mask
-        self.mask.flat[0] = 0.0
-        for a in (self.E, self.E_half, self.mask) + self.ik:
-            a.setflags(write=False)  # shared by every caller of the cached plan
-
-    def nonlinear(self, ch: np.ndarray, u_phys: tuple) -> np.ndarray:
-        """Dealiased spectral tendency of sign * (u.grad)theta; a velocity
-        that is zero everywhere costs no transform."""
-        if not any(uj.any() for uj in u_phys):
-            return self.zero_tendency
-        prod = sum(uj * self.inverse(ikj * ch) for ikj, uj in zip(self.ik, u_phys))
-        return self.forward(prod) * self.mask
-
-    @functools.cached_property
-    def zero_tendency(self) -> np.ndarray:
-        """Tendency of a zero velocity for any finite field: the transform
-        of the zero product that the full path forms, made once per plan.
-        Its signed zeros keep a zero-velocity step bit-identical to the
-        full path."""
-        z = self.forward(np.zeros(self.grid.shape)) * self.mask
-        z.setflags(write=False)
-        return z
+        self.E.setflags(write=False)
+        self.E_half.setflags(write=False)
 
     def predictor(self, ch: np.ndarray, u0_phys: tuple) -> np.ndarray:
         """Midpoint coefficients, with the velocity at the step start."""
@@ -507,7 +479,7 @@ def run_dual(
         "linf": np.array(linfs),
         "mean": np.array(means),
     }
-    return DualRunResult(config=cfg, horizon=horizon, states=states, series=series)
+    return DualRunResult(config=replace(cfg, dt=dt), horizon=horizon, states=states, series=series)
 
 
 # ---------------------------------------------------------------------------
@@ -515,14 +487,7 @@ def run_dual(
 
 def ball_average_velocity(u: VelocityField, center, r: float) -> np.ndarray:
     """Plain average of u over grid nodes within periodic distance r."""
-    grid = u.grid
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    coords = grid.coords()
-    dist2 = np.zeros(grid.shape)
-    for xc, cc in zip(coords, center):
-        dd = (xc - cc + 0.5) % 1.0 - 0.5
-        dist2 += dd**2
-    mask = dist2 <= r**2 + 1e-15
+    mask = u.grid.distance2(center) <= r**2 + 1e-15
     count = int(np.count_nonzero(mask))
     if count == 0:
         raise ValueError(f"ball of radius {r} contains no grid nodes")

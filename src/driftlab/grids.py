@@ -70,6 +70,15 @@ class GridSpec:
         ns = self.modes()
         return np.sqrt(sum(nj**2 for nj in ns))
 
+    def distance2(self, point) -> np.ndarray:
+        """Squared periodic distance from every node to ``point``, which
+        need not be a node."""
+        point = np.atleast_1d(np.asarray(point, dtype=float))
+        dist2 = np.zeros(self.shape)
+        for xc, pc in zip(self.coords(), point):
+            dist2 += periodic_delta(xc - pc) ** 2
+        return dist2
+
 
 def periodic_delta(a: np.ndarray) -> np.ndarray:
     """Signed displacement wrapped to [-1/2, 1/2)."""
@@ -195,6 +204,12 @@ class HalfSpectrum:
         self.ik_mirror = tuple(
             spread(j, 2j * np.pi * np.where(m == -nyq, nyq, m)) for j, m in per_axis
         )
+
+    def odd(self, j: int, mult: np.ndarray) -> np.ndarray:
+        """An odd multiplier of axis j (0-based), zero on that axis's Nyquist
+        line: n_j = -N/2 is its own mirror, so the real part of the
+        full-spectrum transform cancels the term there."""
+        return np.where(np.abs(self.modes[j]) == self.grid.N // 2, 0.0, mult)
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Half-spectrum coefficients c_n of real grid values (to_spectral's

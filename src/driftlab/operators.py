@@ -49,19 +49,18 @@ def fractional_laplacian_spectral(f: ScalarField, alpha: float = 1.0) -> ScalarF
     """(-Laplace)^{alpha/2} f via the multiplier |2*pi*n|^alpha."""
     if not 0.0 < alpha <= 2.0:
         raise ValueError(f"alpha must be in (0, 2], got {alpha}")
-    mult = (TWO_PI * f.grid.mode_radius()) ** alpha
-    mult.flat[0] = 0.0
-    ch = to_spectral(f).coefficients * mult
-    return to_physical(SpectralField(f.grid, ch))
+    spec = half_spectrum(f.grid)
+    ch = spec.forward(f.values) * (TWO_PI * spec.radius) ** alpha
+    return ScalarField(f.grid, spec.inverse(ch))
 
 
 def gradient(f: ScalarField) -> tuple:
     """Spectral gradient; returns d ScalarFields."""
-    ch = to_spectral(f).coefficients
-    out = []
-    for nj in f.grid.modes():
-        out.append(to_physical(SpectralField(f.grid, 2j * np.pi * nj * ch)))
-    return tuple(out)
+    spec = half_spectrum(f.grid)
+    ch = spec.forward(f.values)
+    return tuple(
+        ScalarField(f.grid, spec.inverse(spec.odd(j, ikj) * ch)) for j, ikj in enumerate(spec.ik)
+    )
 
 
 def riesz_transform(f: ScalarField, j: int) -> ScalarField:
@@ -77,16 +76,13 @@ def riesz_transform(f: ScalarField, j: int) -> ScalarField:
 
 @functools.lru_cache(maxsize=8)
 def _riesz_multipliers(grid: GridSpec) -> tuple:
-    """-i n_j / |n| on the half spectrum, 0 at n = 0.
-
-    On the Nyquist line of axis j, n_j = -N/2 is its own mirror, so the real
-    part of the full-spectrum transform cancels that term; it is 0 here too.
-    """
+    """-i n_j / |n| on the half spectrum, 0 at n = 0 and, as an odd
+    multiplier, on the Nyquist line of axis j."""
     spec = half_spectrum(grid)
     nr = np.where(spec.radius > 0, spec.radius, 1.0)
     out = []
-    for m in spec.modes:
-        mult = np.where(np.abs(m) == grid.N // 2, 0.0, -1j * m / nr)
+    for j, m in enumerate(spec.modes):
+        mult = spec.odd(j, -1j * m / nr)
         mult.setflags(write=False)
         out.append(mult)
     return tuple(out)
@@ -107,20 +103,53 @@ def dealias_mask(grid: GridSpec, modes: tuple) -> np.ndarray:
     return np.logical_and.reduce([np.abs(nj) <= cut for nj in modes])
 
 
+class AdvectionTendency:
+    """The dealiased advection term sign * (u.grad)f on the rfftn half
+    spectrum: the one advection of the library.  ``advect`` applies it once;
+    ``evolution.SpectralPlan`` extends it to the steppers' plan.
+
+    The dealiasing mask is folded into the derivative multipliers and, with
+    the advection sign and the mean mode removed, into the mask applied to
+    the product.
+    """
+
+    def __init__(self, grid: GridSpec, adv_sign: float):
+        spec = half_spectrum(grid)
+        self.grid = grid
+        self.forward = spec.forward
+        self.inverse = spec.inverse
+        mask = dealias_mask(grid, spec.modes)
+        self.ik = tuple(ikj * mask for ikj in spec.ik)
+        self.mask = adv_sign * mask
+        self.mask.flat[0] = 0.0
+        for a in (self.mask,) + self.ik:
+            a.setflags(write=False)  # shared by every caller of a cached plan
+
+    def nonlinear(self, ch: np.ndarray, u_phys: tuple) -> np.ndarray:
+        """Spectral tendency of half-spectrum coefficients ``ch`` under the
+        velocity arrays ``u_phys``; a velocity that is zero everywhere costs
+        no transform."""
+        if not any(uj.any() for uj in u_phys):
+            return self.zero_tendency
+        prod = sum(uj * self.inverse(ikj * ch) for ikj, uj in zip(self.ik, u_phys))
+        return self.forward(prod) * self.mask
+
+    @functools.cached_property
+    def zero_tendency(self) -> np.ndarray:
+        """Tendency of a zero velocity for any finite field: the transform
+        of the zero product that the full path forms, made once.  Its signed
+        zeros keep a zero-velocity step bit-identical to the full path."""
+        z = self.forward(np.zeros(self.grid.shape)) * self.mask
+        z.setflags(write=False)
+        return z
+
+
 def advect(u: VelocityField, f: ScalarField) -> ScalarField:
-    """(u . grad) f, pseudo-spectral with 2/3-rule dealiasing."""
+    """(u . grad) f: the steppers' dealiased advection tendency, on the grid."""
     _check_same_grid(u.grid, f.grid)
-    grid = f.grid
-    mask = dealias_mask(grid, grid.modes())
-    fh = np.fft.fftn(f.values, norm="forward") * mask
-    prod = np.zeros(grid.shape)
-    for nj, comp in zip(grid.modes(), u.components):
-        uh = np.fft.fftn(comp.values, norm="forward") * mask
-        dj = np.fft.ifftn(2j * np.pi * nj * fh, norm="forward").real
-        uj = np.fft.ifftn(uh, norm="forward").real
-        prod += uj * dj
-    ph = np.fft.fftn(prod, norm="forward") * mask
-    return to_physical(SpectralField(grid, ph))
+    adv = AdvectionTendency(f.grid, 1.0)
+    ch = adv.nonlinear(adv.forward(f.values), tuple(c.values for c in u.components))
+    return ScalarField(f.grid, adv.inverse(ch))
 
 
 # ---------------------------------------------------------------------------

@@ -61,22 +61,14 @@ def omega_offset_array(grid: GridSpec) -> np.ndarray:
 
 def omega_weighted_mass(f: ScalarField, center) -> float:
     """int Omega(x - center) |f(x)| dx for an arbitrary (off-grid) center."""
-    grid = f.grid
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    dist2 = np.zeros(grid.shape)
-    for xc, cc in zip(grid.coords(), center):
-        dd = (xc - cc + 0.5) % 1.0 - 0.5
-        dist2 += dd**2
-    dist = np.sqrt(dist2)
+    dist = np.sqrt(f.grid.distance2(center))
     w = np.where(dist < 0.5, np.sqrt(dist), OMEGA_PLATEAU)
-    return float(np.sum(w * np.abs(f.values)) * grid.cell_volume)
+    return float(np.sum(w * np.abs(f.values)) * f.grid.cell_volume)
 
 
 def concentration_all_centers(f: ScalarField) -> np.ndarray:
     """int Omega(x - c) |f(x)| dx for every grid center c (FFT correlation)."""
-    a = np.abs(f.values)
-    w = omega_offset_array(f.grid)
-    corr = np.fft.ifftn(np.conj(np.fft.fftn(w)) * np.fft.fftn(a)).real
+    corr = _kernels.periodic_correlation(np.abs(f.values), omega_offset_array(f.grid))
     return corr * f.grid.cell_volume
 
 
@@ -370,10 +362,8 @@ class ClassPairingFit:
 
 
 def shifted_pairings(f: ScalarField, phi: ScalarField) -> np.ndarray:
-    """<f, phi(. - y)> for every grid shift y, via the spectral correlation."""
-    fh = to_spectral(f).coefficients
-    ph = to_spectral(phi).coefficients
-    return np.fft.ifftn(fh * np.conj(ph), norm="forward").real
+    """<f, phi(. - y)> for every grid shift y, by one FFT correlation."""
+    return _kernels.periodic_correlation(f.values, phi.values) * f.grid.cell_volume
 
 
 def holder_from_classes(f: ScalarField, r_list, A: float = DEFAULT_CLASS_A) -> ClassPairingFit:

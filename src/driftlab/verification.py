@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernels
-from .grids import GridSpec, ScalarField, VelocityField
+from .grids import GridSpec, ScalarField, SpectralField, VelocityField, to_physical
 from .operators import TWO_PI, inner, norms, random_band_limited
 from .spaces import (
     ClassParams,
@@ -337,9 +337,7 @@ def verify_concentration(
     run_cfg = replace(cfg, cadence=1)
     history = _prescribed_history(cfg.velocity, grid)
     dual = run_dual(run_cfg, psi0, horizon=horizon, history=history)
-    dt = run_cfg.dt if run_cfg.dt is not None else default_dt(
-        grid, history.velocity_at(horizon).max_norm()
-    )
+    dt = dual.config.dt
     dual_hist = _reversed_history(history, horizon)
     times, traj = track_center(x0, r, dual_hist, horizon, dt)
 
@@ -392,12 +390,7 @@ def _sign_mass_split(f: ScalarField, center, radius: float) -> tuple:
     grid = f.grid
     v = f.values
     if radius < 0.5:
-        center = np.atleast_1d(np.asarray(center, dtype=float))
-        dist2 = np.zeros(grid.shape)
-        for xc, cc in zip(grid.coords(), center):
-            dd = (xc - cc + 0.5) % 1.0 - 0.5
-            dist2 += dd**2
-        v = np.where(dist2 <= radius**2 + 1e-15, v, 0.0)
+        v = np.where(grid.distance2(center) <= radius**2 + 1e-15, v, 0.0)
     plus = float(np.sum(v[v > 0]) * grid.cell_volume)
     minus = float(-np.sum(v[v < 0]) * grid.cell_volume)
     return plus, minus
@@ -462,7 +455,8 @@ def verify_l1_decay(
     }
     rep = _report("l1_decay", scenario)
 
-    run_cfg = replace(cfg, cadence=1)
+    # the single-mode reference reads only the series: keep no snapshot
+    run_cfg = replace(cfg, cadence=1 if reference == "class" else 10**9)
     history = _prescribed_history(cfg.velocity, grid)
     dual = run_dual(run_cfg, psi0, horizon=horizon, history=history)
     s = dual.series["s"]
@@ -479,9 +473,7 @@ def verify_l1_decay(
         rep.verdicts["closed_form"] = _verdict(float(np.max(np.abs(l1 - exact))), 1e-4)
         return rep
 
-    dt = run_cfg.dt if run_cfg.dt is not None else default_dt(
-        grid, history.velocity_at(horizon).max_norm()
-    )
+    dt = dual.config.dt
     dual_hist = _reversed_history(history, horizon)
     x0 = np.array(report0.best_center)
     times, traj = track_center(x0, r, dual_hist, horizon, dt)
@@ -637,9 +629,7 @@ def near_delta_bump(grid: GridSpec, width: float) -> ScalarField:
     semigroup applied to the unit Dirac comb mode; positive, mean one."""
     if width <= 0:
         raise ValueError("width must be positive")
-    ch = np.exp(-TWO_PI * width * grid.mode_radius()).astype(complex)
-    vals = np.fft.ifftn(ch, norm="forward").real
-    return ScalarField(grid, vals)
+    return to_physical(SpectralField(grid, np.exp(-TWO_PI * width * grid.mode_radius())))
 
 
 def _holder_direct_subsampled(f: ScalarField, beta: float) -> float:
@@ -677,7 +667,7 @@ def verify_holder_bound(
             cfg = SimConfig(grid=grid, dt=2e-3, cadence=50)
         else:
             grid = GridSpec(d=2, N=128)
-            cfg = SimConfig(grid=grid, kind="sqg", cadence=100, store_history=False)
+            cfg = SimConfig(grid=grid, kind="sqg", cadence=100)
     grid = cfg.grid
     if theta0 is None:
         if rough:

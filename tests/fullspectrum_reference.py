@@ -1,5 +1,8 @@
-"""Frozen full-spectrum stepper: the forward, SQG and dual stepping as it was
-before the half-spectrum plan, on complex ``fftn``/``ifftn`` transforms.
+"""Frozen full-spectrum code on complex ``fftn``/``ifftn`` transforms: the
+forward, SQG and dual stepping as it was before the half-spectrum plan, and
+the operators and correlations as they were before they moved onto the
+half-spectrum core (``gradient``, ``fractional_laplacian_spectral``,
+``advect``, ``concentration_all_centers``, ``shifted_pairings``).
 
 Kept only as a numerical reference for tests/test_spectral_plan.py; the
 library does not use it.  Do not update it to follow library changes.
@@ -115,3 +118,47 @@ def run_dual(cfg, phi: np.ndarray, horizon: float, history) -> np.ndarray:
         ch = stepper.step(ch, u0, umid)
         s += cfg.dt
     return np.fft.ifftn(ch, norm="forward").real
+
+
+# ---------------------------------------------------------------------------
+# operators and correlations, on arrays
+
+
+def gradient(values: np.ndarray, grid: GridSpec) -> tuple:
+    ch = np.fft.fftn(values, norm="forward")
+    return tuple(np.fft.ifftn(2j * np.pi * nj * ch, norm="forward").real for nj in grid.modes())
+
+
+def fractional_laplacian(values: np.ndarray, grid: GridSpec, alpha: float) -> np.ndarray:
+    mult = (TWO_PI * grid.mode_radius()) ** alpha
+    mult.flat[0] = 0.0
+    return np.fft.ifftn(np.fft.fftn(values, norm="forward") * mult, norm="forward").real
+
+
+def advect(u_phys: tuple, values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """(u . grad) f with the velocity, the field and the product dealiased."""
+    mask = _dealias_mask(grid)
+    fh = np.fft.fftn(values, norm="forward") * mask
+    prod = np.zeros(grid.shape)
+    for nj, comp in zip(grid.modes(), u_phys):
+        uh = np.fft.fftn(comp, norm="forward") * mask
+        dj = np.fft.ifftn(2j * np.pi * nj * fh, norm="forward").real
+        uj = np.fft.ifftn(uh, norm="forward").real
+        prod += uj * dj
+    ph = np.fft.fftn(prod, norm="forward") * mask
+    return np.fft.ifftn(ph, norm="forward").real
+
+
+def concentration_all_centers(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    o = np.arange(grid.N)
+    d1 = np.minimum(o, grid.N - o) / grid.N
+    dist = d1 if grid.d == 1 else np.sqrt(d1[:, None] ** 2 + d1[None, :] ** 2)
+    w = np.where(dist < 0.5, np.sqrt(dist), 1.0 / np.sqrt(2.0))
+    corr = np.fft.ifftn(np.conj(np.fft.fftn(w)) * np.fft.fftn(np.abs(values))).real
+    return corr * grid.cell_volume
+
+
+def shifted_pairings(f: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    fh = np.fft.fftn(f, norm="forward")
+    ph = np.fft.fftn(phi, norm="forward")
+    return np.fft.ifftn(fh * np.conj(ph), norm="forward").real

@@ -162,14 +162,12 @@ def test_09_sqg_runs():
     g = GridSpec(d=2, N=64)
     x1, _ = g.coords()
     theta0 = ScalarField(g, np.cos(TWO_PI * x1))
-    cfg = SimConfig(grid=g, kind="sqg", dt=1e-3, t_end=1.0, cadence=1000,
-                    store_history=False)
+    cfg = SimConfig(grid=g, kind="sqg", dt=1e-3, t_end=1.0, cadence=1000)
     final = run_forward(cfg, theta0).states[-1].theta
     cos_err = float(np.max(np.abs(final.values - math.exp(-TWO_PI) * theta0.values)))
 
     g2 = GridSpec(d=2, N=256)
-    cfg2 = SimConfig(grid=g2, kind="sqg", dt=5e-4, t_end=2.0, cadence=500,
-                     store_history=False)
+    cfg2 = SimConfig(grid=g2, kind="sqg", dt=5e-4, t_end=2.0, cadence=500)
     start = time.monotonic()
     res = run_forward(cfg2, random_band_limited(g2, band=8, seed=77))
     elapsed = time.monotonic() - start

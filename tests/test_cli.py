@@ -188,6 +188,19 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "snap_10.tf").exists()
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="R1 is zero on the Nyquist row n1 = -N/2 and R2 is not, so the SQG "
+        "velocity of a datum with content on that row fails its divergence check",
+    )
+    def test_sqg_datum_on_the_nyquist_row(self, tmp_path):
+        cfg = _write_cfg(
+            tmp_path,
+            "grid.d = 2\ngrid.N = 64\ntime.dt = 1e-3\ntime.T = 0.01\n"
+            "equation.kind = sqg\ninitial.kind = delta\n",
+        )
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+
 
 class TestDualCommand:
     def test_membership_csv(self, tmp_path):

@@ -197,14 +197,14 @@ class TestSQG:
 
     def test_history_memory_cap(self, monkeypatch):
         g = GridSpec(d=2, N=32)
-        cfg = SimConfig(grid=g, kind="sqg", dt=1e-3, t_end=0.1)
+        cfg = SimConfig(grid=g, kind="sqg", dt=1e-3, t_end=0.1, store_history=True)
         monkeypatch.setattr(evolution, "HISTORY_MEMORY_CAP", 1024)
         with pytest.raises(MemoryError, match="cap"):
             run_forward(cfg, random_band_limited(g, 4, seed=2))
 
     def test_history_opt_out(self):
         g = GridSpec(d=2, N=32)
-        cfg = SimConfig(grid=g, kind="sqg", dt=1e-3, t_end=0.01, store_history=False)
+        cfg = SimConfig(grid=g, kind="sqg", dt=1e-3, t_end=0.01)
         res = run_forward(cfg, random_band_limited(g, 4, seed=2))
         with pytest.raises(ValueError, match="not stored"):
             res.history.velocity_at(0.0)
@@ -250,6 +250,13 @@ class TestDual:
         res = run_dual(cfg, phi, horizon=0.02, history=hist)
         assert np.all(np.diff(res.series["l1"]) <= 1e-6)
         assert np.max(np.abs(res.series["mean"])) < 1e-13
+
+    def test_result_carries_the_resolved_dt(self):
+        g = GridSpec(d=2, N=32)
+        u = VelocityField.constant(g, (1.0, 1.0))
+        res = run_dual(SimConfig(grid=g), random_band_limited(g, 4, seed=0), horizon=0.01,
+                       history=VelocityHistory.from_static(u))
+        assert res.config.dt == default_dt(g, u.max_norm())
 
     def test_uncovered_history_rejected(self):
         g = GridSpec(d=1, N=64)

@@ -49,6 +49,14 @@ class TestPeriodicDistance:
         d = periodic_distance(np.array([0.9, 0.0]), np.array([0.1, 0.0]))
         assert d == pytest.approx(0.2)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_node_distance2(self, d):
+        g = GridSpec(d=d, N=16)
+        point = np.array([0.97, 0.3])[:d]
+        nodes = np.stack(g.coords(), axis=-1) if d == 2 else g.axis_coords()[:, None]
+        expected = periodic_distance(nodes, point) ** 2
+        assert np.allclose(g.distance2(point), expected, rtol=0, atol=1e-15)
+
 
 class TestScalarField:
     def test_rejects_nonfinite(self):

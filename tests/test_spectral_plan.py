@@ -1,7 +1,8 @@
-"""The half-spectrum plan against the full-spectrum code it replaced.
+"""The half-spectrum core against the full-spectrum code it replaced.
 
-The frozen full-complex stepper lives in fullspectrum_reference.py; final
-fields must agree with it to 1e-12 relative to the field's sup norm.
+The frozen full-complex stepper, operators and correlations live in
+fullspectrum_reference.py; results must agree with them to 1e-12 relative
+to the reference's sup norm.
 """
 
 import numpy as np
@@ -19,8 +20,16 @@ from driftlab.evolution import (
     spectral_plan,
     velocity_function,
 )
-from driftlab.grids import GridSpec, ScalarField, spectral_divergence_max
-from driftlab.operators import random_band_limited, riesz_transform
+from driftlab.grids import GridSpec, ScalarField, VelocityField, spectral_divergence_max
+from driftlab.operators import (
+    TWO_PI,
+    advect,
+    fractional_laplacian_spectral,
+    gradient,
+    random_band_limited,
+    riesz_transform,
+)
+from driftlab.spaces import concentration_all_centers, shifted_pairings
 
 RTOL = 1e-12
 SIGNS = (REVERSED_SIGN, STANDARD_SIGN)
@@ -109,3 +118,57 @@ def test_one_plan_per_run():
     run_forward(cfg, random_band_limited(grid, band=3, seed=1))
     info = spectral_plan.cache_info()
     assert (info.misses, info.hits) == (1, 9)
+
+
+OPERATOR_GRIDS = [GridSpec(d=1, N=32), GridSpec(d=2, N=32)]
+
+
+def _datum(grid: GridSpec, kind: str) -> np.ndarray:
+    """White noise, or a wave on the Nyquist line n_1 = -N/2 (plus a low
+    mode at d=1, where that line is a single mode with zero gradient)."""
+    if kind == "white":
+        return _white_noise(grid, 7)
+    x = grid.coords()
+    if grid.d == 1:
+        return np.cos(np.pi * grid.N * x[0]) + np.sin(TWO_PI * x[0])
+    return np.cos(np.pi * grid.N * x[0] + TWO_PI * 3 * x[1])
+
+
+@pytest.mark.parametrize("grid", OPERATOR_GRIDS, ids=["d1", "d2"])
+@pytest.mark.parametrize("kind", ["white", "nyquist"])
+def test_gradient_equals_full_spectrum(grid, kind):
+    f = _datum(grid, kind)
+    got = np.stack([c.values for c in gradient(ScalarField(grid, f))])
+    assert _rel(got, np.stack(ref.gradient(f, grid))) <= RTOL
+
+
+@pytest.mark.parametrize("grid", OPERATOR_GRIDS, ids=["d1", "d2"])
+@pytest.mark.parametrize("kind", ["white", "nyquist"])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_fractional_laplacian_equals_full_spectrum(grid, kind, alpha):
+    f = _datum(grid, kind)
+    got = fractional_laplacian_spectral(ScalarField(grid, f), alpha).values
+    assert _rel(got, ref.fractional_laplacian(f, grid, alpha)) <= RTOL
+
+
+@pytest.mark.parametrize("grid", OPERATOR_GRIDS, ids=["d1", "d2"])
+def test_advect_equals_full_spectrum(grid):
+    # a divergence-free velocity band-limited inside the 2/3 cutoff, which
+    # the reference's dealiasing of the velocity leaves as it is
+    if grid.d == 1:
+        u = VelocityField.constant(grid, (1.7,))
+    else:
+        d1, d2 = ref.gradient(random_band_limited(grid, band=6, seed=5).values, grid)
+        u = VelocityField(grid, (ScalarField(grid, -d2), ScalarField(grid, d1)), divergence_free=True)
+    f = _white_noise(grid, 8)
+    got = advect(u, ScalarField(grid, f)).values
+    assert _rel(got, ref.advect(tuple(c.values for c in u.components), f, grid)) <= RTOL
+
+
+@pytest.mark.parametrize("grid", [GridSpec(d=1, N=64), GridSpec(d=2, N=32)], ids=["d1", "d2"])
+def test_correlations_equal_full_spectrum(grid):
+    f, phi = _white_noise(grid, 9), _white_noise(grid, 10)
+    got = concentration_all_centers(ScalarField(grid, f))
+    assert _rel(got, ref.concentration_all_centers(f, grid)) <= RTOL
+    got = shifted_pairings(ScalarField(grid, f), ScalarField(grid, phi))
+    assert _rel(got, ref.shifted_pairings(f, phi)) <= RTOL
