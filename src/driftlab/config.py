@@ -219,7 +219,7 @@ def build_initial_field(plan: RunPlan) -> ScalarField:
         )
     if kind == "cosine":
         x1 = grid.coords()[0]
-        return ScalarField(grid, plan.initial["amplitude"] * np.cos(TWO_PI * x1))
+        return ScalarField.adopt(grid, plan.initial["amplitude"] * np.cos(TWO_PI * x1))
     if kind == "delta":
         if plan.initial["width"] <= 0:
             raise ConfigError("initial.width: must be positive")

@@ -84,18 +84,21 @@ def shear_velocity(grid: GridSpec, amplitude: float) -> VelocityField:
     x1 = grid.coords()[0]
     comps = (
         ScalarField.constant(grid, 0.0),
-        ScalarField(grid, amplitude * np.sin(TWO_PI * x1)),
+        ScalarField.adopt(grid, amplitude * np.sin(TWO_PI * x1)),
     )
     return VelocityField(grid, comps, divergence_free=True)
 
 
 def sqg_velocity(theta: ScalarField) -> VelocityField:
-    """u = (-R2 theta, R1 theta); divergence-free by the multiplier identity."""
+    """u = (-R2 theta, R1 theta); divergence-free by the multiplier identity.
+
+    From a theta that keeps its half-spectrum coefficients, the velocity
+    and its divergence check cost one inverse transform per component.
+    """
     if theta.grid.d != 2:
         raise ValueError("SQG coupling requires d=2")
-    u1 = ScalarField(theta.grid, -riesz_transform(theta, 2).values)
-    u2 = riesz_transform(theta, 1)
-    return VelocityField(theta.grid, (u1, u2), divergence_free=True)
+    u = (-riesz_transform(theta, 2), riesz_transform(theta, 1))
+    return VelocityField(theta.grid, u, divergence_free=True)
 
 
 def build_prescribed_velocity(spec: VelocitySpec, grid: GridSpec) -> VelocityField:
@@ -128,7 +131,7 @@ def velocity_function(spec: VelocitySpec, grid: GridSpec):
 
     def at(t: float) -> VelocityField:
         factor = math.cos(omega * t)
-        comps = tuple(ScalarField(grid, factor * c.values) for c in base.components)
+        comps = tuple(ScalarField.adopt(grid, factor * c.values) for c in base.components)
         return VelocityField(grid, comps, divergence_free=True)
 
     return at
@@ -294,10 +297,15 @@ def _check_cfl(grid: GridSpec, dt: float, umax: float, step: int, t: float):
         raise CFLAbort(step, t, dt, admissible)
 
 
-def _finite_field(grid: GridSpec, values: np.ndarray, step: int, t: float) -> ScalarField:
-    """Wrap new grid values, raising NumericalAbort if any is not finite."""
+def _finite_field(
+    plan: SpectralPlan, ch: np.ndarray, step: int, t: float, keep: bool = False
+) -> ScalarField:
+    """The field of new half-spectrum coefficients, which it keeps if
+    ``keep``; raises NumericalAbort if any of its values is not finite."""
     try:
-        return ScalarField(grid, values)
+        if keep:
+            return ScalarField.from_half_spectrum(plan.grid, ch)
+        return ScalarField.adopt(plan.grid, plan.inverse(ch))
     except ValueError:  # the values have the grid's shape: they are not finite
         raise NumericalAbort(step, t) from None
 
@@ -308,6 +316,10 @@ def step_forward(state: EvolutionState, cfg: SimConfig, velocity=None) -> Evolut
     ``velocity`` is the run's t -> VelocityField of a prescribed drift (see
     ``velocity_function``); without it, a time-modulated drift is built from
     ``cfg.velocity`` for this step.  The step starts from ``state.u``.
+
+    An SQG step keeps the coefficients of its midpoint and end fields, so
+    it makes 12 transforms: 3 for each advection tendency, 1 for each of
+    the two fields and 2 for each of their velocities.
     """
     grid = cfg.grid
     umax = state.u.max_norm()
@@ -316,20 +328,21 @@ def step_forward(state: EvolutionState, cfg: SimConfig, velocity=None) -> Evolut
     _check_cfl(grid, dt, umax, step, t)
     sign = 1.0 if cfg.sign == REVERSED_SIGN else -1.0
     plan = spectral_plan(grid, cfg.alpha, dt, sign)
+    sqg = cfg.kind == "sqg"
     vf = None
-    if cfg.kind != "sqg" and cfg.velocity.omega != 0.0:
+    if not sqg and cfg.velocity.omega != 0.0:
         vf = velocity if velocity is not None else velocity_function(cfg.velocity, grid)
-    ch = plan.forward(state.theta.values)
+    ch = state.theta.half_coefficients()
     mid = plan.predictor(ch, _u_phys(state.u))
-    if cfg.kind == "sqg":
-        umid = sqg_velocity(_finite_field(grid, plan.inverse(mid), step, t))
+    if sqg:
+        umid = sqg_velocity(_finite_field(plan, mid, step, t, keep=True))
     elif vf is not None:
         umid = vf(state.t + 0.5 * dt)
     else:
         umid = state.u
     ch_new = plan.corrector(ch, mid, _u_phys(umid))
-    theta_new = _finite_field(grid, plan.inverse(ch_new), step, t)
-    if cfg.kind == "sqg":
+    theta_new = _finite_field(plan, ch_new, step, t, keep=sqg)
+    if sqg:
         u_new = sqg_velocity(theta_new)
     elif vf is not None:
         u_new = vf(t)
@@ -409,7 +422,8 @@ def run_forward(cfg: SimConfig, theta0: ScalarField) -> RunResult:
             hist_times.append(state.t)
             hist_samples.append(_u_phys(state.u))
         if state.step % cfg.cadence == 0 or state.step == nsteps:
-            states.append(state)
+            # a snapshot keeps its values only, not an SQG step's coefficients
+            states.append(replace(state, theta=state.theta.without_coefficients()))
             diags.append(_diag_row(state, cfg))
     if store_history:
         history = VelocityHistory.from_samples(grid, hist_times, hist_samples)
@@ -465,7 +479,7 @@ def run_dual(
         umid = history.velocity_at(horizon - s - 0.5 * dt)
         ch = plan.step(ch, _u_phys(u0), _u_phys(umid))
         s += dt
-        f = _finite_field(grid, plan.inverse(ch), step, s)
+        f = _finite_field(plan, ch, step, s)
         rec = norms(f)
         svals.append(s)
         l1s.append(rec.l1)

@@ -22,11 +22,17 @@ SERIES_COLUMNS = SERIES_HEADER.split(",")
 
 def save_field(f: ScalarField, path) -> None:
     """Write the snapshot format: one header line, then the values in
-    row-major order at full round-trip precision."""
-    path = Path(path)
-    lines = [f"{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} d={f.grid.d} N={f.grid.N}"]
-    lines.extend(f"{v:.17g}" for v in f.values.reshape(-1))
-    path.write_text("\n".join(lines) + "\n")
+    row-major order at full round-trip precision, one per line.
+
+    Written a row of N values at a time with one ``%`` format, which gives
+    the bytes of ``f"{v:.17g}"`` for every float.
+    """
+    N = f.grid.N
+    row_format = "%.17g\n" * N
+    with Path(path).open("w") as out:
+        out.write(f"{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} d={f.grid.d} N={N}\n")
+        for row in f.values.reshape(-1, N):
+            out.write(row_format % tuple(row.tolist()))
 
 
 def load_field(path) -> ScalarField:
@@ -48,7 +54,7 @@ def load_field(path) -> ScalarField:
             f"{path}: expected {grid.size} values for d={d} N={N}, found {len(data)}"
         )
     values = np.array([float(v) for v in data]).reshape(grid.shape)
-    return ScalarField(grid, values)
+    return ScalarField.adopt(grid, values)
 
 
 def _cell(value) -> str:

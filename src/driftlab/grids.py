@@ -7,8 +7,9 @@ angular wave vectors k = 2*pi*n, so the half-Laplacian has eigenvalues
 
 from __future__ import annotations
 
+import copy
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,20 +94,63 @@ def periodic_distance(x, y) -> np.ndarray:
     return np.sqrt(np.sum(dx**2, axis=-1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarField:
-    """Real field sampled on the grid nodes (row-major)."""
+    """Real field sampled on the grid nodes (row-major).
+
+    The values are immutable: a writable array of the caller's is copied,
+    so changing it later cannot change the field.  A field built by
+    ``from_half_spectrum`` also keeps its half-spectrum coefficients, so
+    that spectral operators on it need no forward transform.
+    """
 
     grid: GridSpec
     values: np.ndarray
+    _half: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).reshape(self.grid.shape)
+        src = self.values
+        v = np.asarray(src, dtype=float).reshape(self.grid.shape)
         if not np.all(np.isfinite(v)):
             raise ValueError("field values must be finite")
         v = np.ascontiguousarray(v)
+        if v.flags.writeable and isinstance(src, np.ndarray) and np.may_share_memory(v, src):
+            v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+
+    @classmethod
+    def adopt(cls, grid: GridSpec, values: np.ndarray) -> "ScalarField":
+        """Field on a new array that the caller hands over and no longer
+        writes: it is made read-only and taken without a copy."""
+        values.setflags(write=False)
+        return cls(grid, values)
+
+    @classmethod
+    def from_half_spectrum(cls, grid: GridSpec, ch: np.ndarray) -> "ScalarField":
+        """Field of half-spectrum coefficients, which it keeps in the form
+        that ``irfftn`` realises (``HalfSpectrum.hermitian``)."""
+        spec = half_spectrum(grid)
+        ch = spec.hermitian(ch)
+        f = cls.adopt(grid, spec.inverse(ch))
+        ch.setflags(write=False)
+        object.__setattr__(f, "_half", ch)
+        return f
+
+    def half_coefficients(self) -> np.ndarray:
+        """Half-spectrum coefficients: the kept ones, or else the forward
+        transform of the values (computed on each call, not cached)."""
+        if self._half is not None:
+            return self._half
+        return half_spectrum(self.grid).forward(self.values)
+
+    def without_coefficients(self) -> "ScalarField":
+        """The same values, without kept coefficients."""
+        if self._half is None:
+            return self
+        f = copy.copy(self)
+        object.__setattr__(f, "_half", None)
+        return f
 
     @classmethod
     def constant(cls, grid: GridSpec, c: float) -> "ScalarField":
@@ -123,25 +167,33 @@ class ScalarField:
         amp = float(np.max(np.abs(self.values)))
         return abs(self.mean()) <= rtol * max(amp, 1.0)
 
+    def __neg__(self):
+        f = ScalarField.adopt(self.grid, -self.values)
+        if self._half is not None:
+            half = -self._half
+            half.setflags(write=False)
+            object.__setattr__(f, "_half", half)
+        return f
+
     def __add__(self, other):
         if isinstance(other, ScalarField):
             _check_same_grid(self.grid, other.grid)
-            return ScalarField(self.grid, self.values + other.values)
-        return ScalarField(self.grid, self.values + other)
+            return ScalarField.adopt(self.grid, self.values + other.values)
+        return ScalarField.adopt(self.grid, self.values + other)
 
     def __sub__(self, other):
         if isinstance(other, ScalarField):
             _check_same_grid(self.grid, other.grid)
-            return ScalarField(self.grid, self.values - other.values)
-        return ScalarField(self.grid, self.values - other)
+            return ScalarField.adopt(self.grid, self.values - other.values)
+        return ScalarField.adopt(self.grid, self.values - other)
 
     def __mul__(self, scalar):
-        return ScalarField(self.grid, self.values * float(scalar))
+        return ScalarField.adopt(self.grid, self.values * float(scalar))
 
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralField:
     """Fourier coefficients c_n indexed by integer wave vectors.
 
@@ -201,6 +253,7 @@ class HalfSpectrum:
         self.nyquist_rows = tuple(
             tuple(nyq if a == j else slice(None) for a in range(d)) for j in range(d - 1)
         )
+        self._mirror_rows = (-np.arange(N)) % N  # row of -n_1, for hermitian
         self.ik_mirror = tuple(
             spread(j, 2j * np.pi * np.where(m == -nyq, nyq, m)) for j, m in per_axis
         )
@@ -210,6 +263,19 @@ class HalfSpectrum:
         line: n_j = -N/2 is its own mirror, so the real part of the
         full-spectrum transform cancels the term there."""
         return np.where(np.abs(self.modes[j]) == self.grid.N // 2, 0.0, mult)
+
+    def hermitian(self, ch: np.ndarray) -> np.ndarray:
+        """A new array of the coefficients that ``inverse`` realises from
+        ``ch``.  The self-conjugate columns of the last axis (n_d = 0 and
+        N/2) hold each mode and its mirror -n, and the inverse transform
+        keeps only their Hermitian part (c_n + conj(c_{-n})) / 2; every
+        other coefficient is its own."""
+        out = np.array(ch, dtype=complex)
+        cols = [0, self.grid.N // 2]
+        c = out[..., cols]
+        mirror = c[self._mirror_rows] if self.grid.d == 2 else c
+        out[..., cols] = 0.5 * (c + np.conj(mirror))
+        return out
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Half-spectrum coefficients c_n of real grid values (to_spectral's
@@ -230,14 +296,14 @@ def spectral_divergence_max(components) -> float:
     """max_k |sum_j k_j u^_j(k)| over the full spectrum, for a tuple of
     ScalarFields.
 
-    Computed on the half spectrum.  The coefficients it leaves out are the
-    complex conjugates of stored ones at wave vector -n, and have the same
-    divergence magnitude, except on the Nyquist row n_1 = -N/2 (d = 2),
-    which the fftfreq convention maps to itself: that row is evaluated a
-    second time with n_1 = +N/2.
+    Computed on the half spectrum, from each field's ``half_coefficients``.
+    The coefficients it leaves out are the complex conjugates of stored
+    ones at wave vector -n, and have the same divergence magnitude, except
+    on the Nyquist row n_1 = -N/2 (d = 2), which the fftfreq convention
+    maps to itself: that row is evaluated a second time with n_1 = +N/2.
     """
     spec = half_spectrum(components[0].grid)
-    uh = [spec.forward(comp.values) for comp in components]
+    uh = [comp.half_coefficients() for comp in components]
     div = sum(ikj * u for ikj, u in zip(spec.ik, uh))
     peak = float(np.max(np.abs(div)))
     for row in spec.nyquist_rows:
@@ -251,9 +317,14 @@ def _check_same_grid(a: GridSpec, b: GridSpec):
         raise ValueError(f"grid mismatch: {a} vs {b}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VelocityField:
-    """d-component vector field; divergence_free is an asserted invariant."""
+    """d-component vector field; divergence_free is an asserted invariant.
+
+    The divergence check reads the components' kept coefficients; the
+    stored components keep none, so that stored velocities cost no more
+    memory than their values.
+    """
 
     grid: GridSpec
     components: tuple
@@ -274,6 +345,7 @@ class VelocityField:
                     f"velocity asserted divergence-free but max spectral divergence "
                     f"{div:.3e} exceeds tolerance (l2={norm:.3e})"
                 )
+        object.__setattr__(self, "components", tuple(c.without_coefficients() for c in comps))
 
     @classmethod
     def zero(cls, grid: GridSpec) -> "VelocityField":

@@ -51,7 +51,7 @@ def fractional_laplacian_spectral(f: ScalarField, alpha: float = 1.0) -> ScalarF
         raise ValueError(f"alpha must be in (0, 2], got {alpha}")
     spec = half_spectrum(f.grid)
     ch = spec.forward(f.values) * (TWO_PI * spec.radius) ** alpha
-    return ScalarField(f.grid, spec.inverse(ch))
+    return ScalarField.adopt(f.grid, spec.inverse(ch))
 
 
 def gradient(f: ScalarField) -> tuple:
@@ -59,7 +59,8 @@ def gradient(f: ScalarField) -> tuple:
     spec = half_spectrum(f.grid)
     ch = spec.forward(f.values)
     return tuple(
-        ScalarField(f.grid, spec.inverse(spec.odd(j, ikj) * ch)) for j, ikj in enumerate(spec.ik)
+        ScalarField.adopt(f.grid, spec.inverse(spec.odd(j, ikj) * ch))
+        for j, ikj in enumerate(spec.ik)
     )
 
 
@@ -69,20 +70,26 @@ def riesz_transform(f: ScalarField, j: int) -> ScalarField:
         raise ValueError("Riesz transforms require d=2")
     if j not in (1, 2):
         raise ValueError(f"component index must be 1 or 2, got {j}")
-    spec = half_spectrum(f.grid)
-    ch = spec.forward(f.values) * _riesz_multipliers(f.grid)[j - 1]
-    return ScalarField(f.grid, spec.inverse(ch))
+    ch = f.half_coefficients() * _riesz_multipliers(f.grid)[j - 1]
+    return ScalarField.from_half_spectrum(f.grid, ch)
 
 
 @functools.lru_cache(maxsize=8)
 def _riesz_multipliers(grid: GridSpec) -> tuple:
-    """-i n_j / |n| on the half spectrum, 0 at n = 0 and, as an odd
-    multiplier, on the Nyquist line of axis j."""
+    """-i n_j / |n| on the half spectrum, 0 at n = 0 and on both Nyquist
+    lines (|n_1| = N/2 or |n_2| = N/2).
+
+    A mode on the Nyquist line of axis j is its own mirror in n_j, so the
+    real field cancels R_j there but keeps the other transform.  Zeroing
+    both on both lines leaves u = (-R_2 theta, R_1 theta) no content there,
+    which keeps it divergence-free.
+    """
     spec = half_spectrum(grid)
     nr = np.where(spec.radius > 0, spec.radius, 1.0)
+    nyquist = np.logical_or.reduce([np.abs(m) == grid.N // 2 for m in spec.modes])
     out = []
-    for j, m in enumerate(spec.modes):
-        mult = spec.odd(j, -1j * m / nr)
+    for m in spec.modes:
+        mult = np.where(nyquist, 0.0, -1j * m / nr)
         mult.setflags(write=False)
         out.append(mult)
     return tuple(out)
@@ -149,7 +156,7 @@ def advect(u: VelocityField, f: ScalarField) -> ScalarField:
     _check_same_grid(u.grid, f.grid)
     adv = AdvectionTendency(f.grid, 1.0)
     ch = adv.nonlinear(adv.forward(f.values), tuple(c.values for c in u.components))
-    return ScalarField(f.grid, adv.inverse(ch))
+    return ScalarField.adopt(f.grid, adv.inverse(ch))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +264,7 @@ def fractional_laplacian_direct(
         target = TWO_PI * probe.values
         _calibration_cache[key] = float(np.sum(target * raw) / np.sum(raw * raw))
     c = _calibration_cache[key]
-    return ScalarField(grid, c * _raw_apply(f, K, M))
+    return ScalarField.adopt(grid, c * _raw_apply(f, K, M))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +287,7 @@ def random_band_limited(
     if band < 1 or band > grid.N // 2 - 1:
         raise ValueError(f"band must be in [1, N/2-1], got {band}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    noise = ScalarField(grid, rng.standard_normal(grid.shape))
+    noise = ScalarField.adopt(grid, rng.standard_normal(grid.shape))
     mask = np.ones(grid.shape, dtype=bool)
     for nj in grid.modes():
         mask &= np.abs(nj) <= band
@@ -291,4 +298,4 @@ def random_band_limited(
     peak = np.max(np.abs(vals))
     if peak > 0:
         vals = vals * (amplitude / peak)
-    return ScalarField(grid, vals)
+    return ScalarField.adopt(grid, vals)

@@ -643,7 +643,7 @@ def _holder_direct_subsampled(f: ScalarField, beta: float) -> float:
         return holder_seminorm_direct(f, beta)
     sub = GridSpec(d=grid.d, N=grid.N // stride)
     idx = tuple([slice(None, None, stride)] * grid.d)
-    return holder_seminorm_direct(ScalarField(sub, f.values[idx].copy()), beta)
+    return holder_seminorm_direct(ScalarField(sub, f.values[idx]), beta)
 
 
 def verify_holder_bound(

@@ -1,4 +1,4 @@
-"""Frozen half-spectrum stepper: the forward, SQG and dual stepping as they
+"""Frozen half-spectrum stepper: the forward drift and dual stepping as they
 were before a zero-velocity stage skipped its transforms and a time-modulated
 drift was built once per run.
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from driftlab.evolution import REVERSED_SIGN, sqg_velocity, velocity_function
+from driftlab.evolution import REVERSED_SIGN, velocity_function
 from driftlab.grids import GridSpec, ScalarField, half_spectrum
 from driftlab.operators import TWO_PI, dealias_mask
 
@@ -54,28 +54,20 @@ def run_forward(cfg, theta0: np.ndarray) -> np.ndarray:
     grid, dt = cfg.grid, cfg.dt
     sign = 1.0 if cfg.sign == REVERSED_SIGN else -1.0
     plan = Plan(grid, cfg.alpha, dt, sign)
-    sqg = cfg.kind == "sqg"
     theta = ScalarField(grid, theta0)
-    u = sqg_velocity(theta) if sqg else velocity_function(cfg.velocity, grid)(0.0)
+    u = velocity_function(cfg.velocity, grid)(0.0)
     t = 0.0
     for _ in range(int(round(cfg.t_end / dt))):
         vf = None
-        if not sqg and cfg.velocity.omega != 0.0:
+        if cfg.velocity.omega != 0.0:
             vf = velocity_function(cfg.velocity, grid)
         u0 = u if vf is None else vf(t)
         ch = plan.forward(theta.values)
         mid = plan.predictor(ch, _phys(u0))
-        if sqg:
-            umid = sqg_velocity(ScalarField(grid, plan.inverse(mid)))
-        elif vf is not None:
-            umid = vf(t + 0.5 * dt)
-        else:
-            umid = u0
+        umid = u0 if vf is None else vf(t + 0.5 * dt)
         theta = ScalarField(grid, plan.inverse(plan.corrector(ch, mid, _phys(umid))))
         t = t + dt
-        if sqg:
-            u = sqg_velocity(theta)
-        elif vf is not None:
+        if vf is not None:
             u = vf(t)
     return theta.values
 

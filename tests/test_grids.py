@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pathlib import Path
+
 from driftlab.grids import (
     GridSpec,
     ScalarField,
     VelocityField,
+    half_spectrum,
     periodic_distance,
     spectral_divergence_max,
     to_physical,
@@ -83,6 +86,47 @@ class TestScalarField:
         assert ScalarField(g, np.cos(2 * np.pi * x)).is_mean_zero()
         assert not ScalarField.constant(g, 0.5).is_mean_zero()
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_writing_the_source_array_leaves_the_field(self, d):
+        g = GridSpec(d=d, N=8)
+        a = np.ones(g.shape)
+        f = ScalarField(g, a)
+        u = VelocityField(g, (f,) * d)
+        assert u.max_norm() == pytest.approx(np.sqrt(d))
+        a[...] = 5.0
+        assert np.all(f.values == 1.0)
+        assert VelocityField(g, u.components).max_norm() == pytest.approx(np.sqrt(d))
+
+    def test_writing_the_source_coefficients_leaves_the_field(self):
+        g = GridSpec(d=2, N=8)
+        ch = half_spectrum(g).forward(_random_field(g, 1).values)
+        f = ScalarField.from_half_spectrum(g, ch)
+        kept, values = f.half_coefficients().copy(), f.values.copy()
+        ch[...] = 7.0
+        assert np.array_equal(f.half_coefficients(), kept)
+        assert np.array_equal(f.values, values)
+        with pytest.raises(ValueError):
+            f.half_coefficients()[0, 0] = 1.0
+
+    def test_read_only_values_are_shared(self):
+        f = _random_field(GridSpec(d=2, N=8), 2)
+        assert np.shares_memory(ScalarField(f.grid, f.values).values, f.values)
+
+    def test_negation_keeps_the_coefficients(self):
+        g = GridSpec(d=2, N=8)
+        f = ScalarField.from_half_spectrum(g, half_spectrum(g).forward(_random_field(g, 3).values))
+        assert np.array_equal((-f).values, -f.values)
+        assert np.array_equal((-f).half_coefficients(), -f.half_coefficients())
+
+    def test_identity_equality_and_hash(self):
+        g = GridSpec(d=2, N=8)
+        f, h = ScalarField.constant(g, 1.0), ScalarField.constant(g, 1.0)
+        u, v = VelocityField.constant(g, (1.0, 2.0)), VelocityField.constant(g, (1.0, 2.0))
+        fh = to_spectral(f)
+        for a, b in ((f, h), (u, v), (fh, to_spectral(h))):
+            assert a == a and a != b
+            assert len({a, b, a}) == 2
+
 
 class TestSpectral:
     def test_roundtrip(self):
@@ -101,6 +145,21 @@ class TestSpectral:
         energy_phys = norms(f).l2 ** 2
         energy_spec = float(np.sum(np.abs(to_spectral(f).coefficients) ** 2))
         assert energy_phys == pytest.approx(energy_spec, rel=1e-12)
+
+
+class TestHalfSpectrum:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_hermitian_is_what_the_inverse_realises(self, d):
+        # random coefficients, not Hermitian on the self-conjugate columns
+        g = GridSpec(d=d, N=16)
+        spec = half_spectrum(g)
+        rng = np.random.default_rng(4)
+        ch = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
+        herm = spec.hermitian(ch)
+        assert herm is not ch
+        assert np.max(np.abs(spec.inverse(herm) - spec.inverse(ch))) < 1e-14
+        assert np.max(np.abs(spec.forward(spec.inverse(ch)) - herm)) < 1e-14
+        assert np.max(np.abs(herm - ch)) > 0.1
 
 
 class TestVelocityField:
@@ -125,3 +184,15 @@ class TestVelocityField:
         v = VelocityField.constant(g, (3.0, 4.0))
         assert v.max_norm() == pytest.approx(5.0)
         assert v.l2_norm() == pytest.approx(5.0)
+
+
+def test_only_the_spectral_core_calls_numpy_fft():
+    # grids owns the transforms and _kernels the correlations built on them
+    src = Path(__file__).resolve().parents[1] / "src" / "driftlab"
+    offenders = [
+        p.name
+        for p in sorted(src.glob("*.py"))
+        if p.name not in ("grids.py", "_kernels.py")
+        and any(s in p.read_text() for s in ("np.fft.", "numpy.fft"))
+    ]
+    assert offenders == []

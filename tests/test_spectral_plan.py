@@ -20,7 +20,13 @@ from driftlab.evolution import (
     spectral_plan,
     velocity_function,
 )
-from driftlab.grids import GridSpec, ScalarField, VelocityField, spectral_divergence_max
+from driftlab.grids import (
+    GridSpec,
+    ScalarField,
+    VelocityField,
+    half_spectrum,
+    spectral_divergence_max,
+)
 from driftlab.operators import (
     TWO_PI,
     advect,
@@ -102,13 +108,46 @@ def test_divergence_max_on_the_nyquist_row():
     assert got == pytest.approx(full, rel=RTOL)
 
 
+def _coefficients(grid: GridSpec, kind: str, seed: int) -> np.ndarray:
+    """Random complex half-spectrum coefficients, not Hermitian on the
+    self-conjugate columns: everywhere, or only on the Nyquist row
+    n_1 = -N/2."""
+    spec = half_spectrum(grid)
+    rng = np.random.default_rng(seed)
+    ch = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
+    if kind == "nyquist":
+        ch[: grid.N // 2] = ch[grid.N // 2 + 1 :] = 0.0
+    return ch
+
+
+@pytest.mark.parametrize("grid", [GridSpec(d=2, N=32), GridSpec(d=2, N=64)], ids=["n32", "n64"])
+@pytest.mark.parametrize("kind", ["white", "nyquist"])
+def test_divergence_from_kept_coefficients(grid, kind):
+    # the check on the coefficients a field keeps gives the check on the
+    # forward transform of its values
+    kept = tuple(
+        ScalarField.from_half_spectrum(grid, _coefficients(grid, kind, seed)) for seed in (1, 2)
+    )
+    plain = tuple(ScalarField(grid, f.values) for f in kept)
+    full = spectral_divergence_max(plain)
+    assert full > 1.0
+    assert spectral_divergence_max(kept) == pytest.approx(full, rel=RTOL)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_riesz_equals_full_spectrum(seed):
+    # equal off the Nyquist lines n_1 = -N/2 and n_2 = N/2; on them both
+    # transforms are zero, so that the SQG velocity stays divergence-free
     grid = GridSpec(d=2, N=16)
     f = _white_noise(grid, seed)
+    off = np.ones((grid.N, grid.N // 2 + 1), dtype=bool)
+    off[grid.N // 2, :] = off[:, grid.N // 2] = False
     for j in (1, 2):
-        got = riesz_transform(ScalarField(grid, f), j).values
-        assert _rel(got, ref.riesz(f, grid, j)) <= RTOL
+        got = np.fft.rfftn(riesz_transform(ScalarField(grid, f), j).values, norm="forward")
+        want = np.fft.rfftn(ref.riesz(f, grid, j), norm="forward")
+        assert _rel(got[off], want[off]) <= RTOL
+        assert np.max(np.abs(got[~off])) <= RTOL * np.max(np.abs(want))
+        assert np.max(np.abs(want[~off])) > 0.1 * np.max(np.abs(want))
 
 
 def test_one_plan_per_run():
