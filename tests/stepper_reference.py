@@ -1,6 +1,8 @@
-"""Frozen half-spectrum stepper: the forward drift and dual stepping as they
+"""Frozen half-spectrum stepper: the forward, SQG and dual stepping as they
 were before a zero-velocity stage skipped its transforms and a time-modulated
-drift was built once per run.
+drift was built once per run.  An SQG field keeps the half-spectrum
+coefficients it is built from (``ScalarField.from_half_spectrum``), and each
+SQG step starts from theta's kept coefficients.
 
 Kept only as a numerical reference for tests/test_stepper_exact.py; the
 library does not use it.  Do not update it to follow library changes.
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from driftlab.evolution import REVERSED_SIGN, velocity_function
+from driftlab.evolution import REVERSED_SIGN, sqg_velocity, velocity_function
 from driftlab.grids import GridSpec, ScalarField, half_spectrum
 from driftlab.operators import TWO_PI, dealias_mask
 
@@ -54,20 +56,32 @@ def run_forward(cfg, theta0: np.ndarray) -> np.ndarray:
     grid, dt = cfg.grid, cfg.dt
     sign = 1.0 if cfg.sign == REVERSED_SIGN else -1.0
     plan = Plan(grid, cfg.alpha, dt, sign)
+    sqg = cfg.kind == "sqg"
     theta = ScalarField(grid, theta0)
-    u = velocity_function(cfg.velocity, grid)(0.0)
+    u = sqg_velocity(theta) if sqg else velocity_function(cfg.velocity, grid)(0.0)
     t = 0.0
     for _ in range(int(round(cfg.t_end / dt))):
         vf = None
-        if cfg.velocity.omega != 0.0:
+        if not sqg and cfg.velocity.omega != 0.0:
             vf = velocity_function(cfg.velocity, grid)
         u0 = u if vf is None else vf(t)
-        ch = plan.forward(theta.values)
+        ch = theta.half_coefficients() if sqg else plan.forward(theta.values)
         mid = plan.predictor(ch, _phys(u0))
-        umid = u0 if vf is None else vf(t + 0.5 * dt)
-        theta = ScalarField(grid, plan.inverse(plan.corrector(ch, mid, _phys(umid))))
+        if sqg:
+            umid = sqg_velocity(ScalarField.from_half_spectrum(grid, mid))
+        elif vf is not None:
+            umid = vf(t + 0.5 * dt)
+        else:
+            umid = u0
+        ch = plan.corrector(ch, mid, _phys(umid))
+        if sqg:
+            theta = ScalarField.from_half_spectrum(grid, ch)
+        else:
+            theta = ScalarField(grid, plan.inverse(ch))
         t = t + dt
-        if vf is not None:
+        if sqg:
+            u = sqg_velocity(theta)
+        elif vf is not None:
             u = vf(t)
     return theta.values
 

@@ -1,10 +1,10 @@
 """The stepper against its frozen pre-skip version (stepper_reference.py).
 
 A zero-velocity stage skips its transforms and a modulated drift is built
-once per run; neither may change a single bit of a final drift or dual
-field.  An SQG step carries its half-spectrum coefficients, which moves
-its fields at the rounding level; test_spectral_plan.py gates them against
-the full-spectrum reference.  The transform counts, the one build per run
+once per run; neither may change a single bit of a final field.  An SQG
+step carries its half-spectrum coefficients, in the library and in the
+reference alike; test_spectral_plan.py gates SQG fields against the
+full-spectrum reference too.  The transform counts, the one build per run
 and the one velocity norm per run are checked here too.
 """
 
@@ -43,23 +43,24 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 @pytest.mark.parametrize(
-    "grid, velocity, sign",
+    "grid, kind, velocity, sign",
     [
-        (G1, ZERO, REVERSED_SIGN),
-        (G2, ZERO, REVERSED_SIGN),
-        (G2, ZERO, STANDARD_SIGN),
-        (G2, VelocitySpec(kind="constant"), REVERSED_SIGN),
-        (G2, SHEAR, REVERSED_SIGN),
-        (G2, SHEAR, STANDARD_SIGN),
-        (G2, MODULATED, REVERSED_SIGN),
-        (G2, MODULATED, STANDARD_SIGN),
-        (G1, VelocitySpec(kind="constant", omega=5.0), REVERSED_SIGN),
+        (G1, "drift", ZERO, REVERSED_SIGN),
+        (G2, "drift", ZERO, REVERSED_SIGN),
+        (G2, "drift", ZERO, STANDARD_SIGN),
+        (G2, "drift", VelocitySpec(kind="constant"), REVERSED_SIGN),
+        (G2, "drift", SHEAR, REVERSED_SIGN),
+        (G2, "drift", SHEAR, STANDARD_SIGN),
+        (G2, "drift", MODULATED, REVERSED_SIGN),
+        (G2, "drift", MODULATED, STANDARD_SIGN),
+        (G1, "drift", VelocitySpec(kind="constant", omega=5.0), REVERSED_SIGN),
+        (G2, "sqg", ZERO, REVERSED_SIGN),
     ],
     ids=["zero_d1", "zero_d2", "zero_d2_standard", "constant", "shear", "shear_standard",
-         "modulated", "modulated_standard", "modulated_constant_d1"],
+         "modulated", "modulated_standard", "modulated_constant_d1", "sqg"],
 )
-def test_forward_is_bit_identical(grid, velocity, sign):
-    cfg = SimConfig(grid=grid, sign=sign, velocity=velocity, dt=2e-3, t_end=0.06)
+def test_forward_is_bit_identical(grid, kind, velocity, sign):
+    cfg = SimConfig(grid=grid, kind=kind, sign=sign, velocity=velocity, dt=2e-3, t_end=0.06)
     theta0 = random_band_limited(grid, band=6, seed=21)
     got = run_forward(cfg, theta0).states[-1].theta.values
     assert _same_bits(got, ref.run_forward(cfg, theta0.values))
