@@ -14,7 +14,6 @@ from .evolution import (
     VelocityHistory,
     run_dual,
     run_forward,
-    velocity_function,
 )
 from .operators import norms
 from . import fieldio
@@ -104,15 +103,13 @@ def cmd_simulate(args) -> int:
 def cmd_dual(args) -> int:
     plan = _require_config(args)
     cfg = plan.config
-    if cfg.velocity.kind == "sqg" or cfg.kind == "sqg":
+    if cfg.kind == "sqg":
         raise ConfigError(
             "velocity.kind: dual runs need a prescribed velocity history; "
             "no forward run is available to supply the sqg velocity"
         )
     psi0 = build_initial_field(plan)
-    history = VelocityHistory.from_callable(
-        cfg.grid, velocity_function(cfg.velocity, cfg.grid)
-    )
+    history = VelocityHistory.prescribed(cfg.velocity, cfg.grid)
     dual = run_dual(cfg, psi0, horizon=plan.dual["horizon"], history=history)
 
     from .spaces import ClassParams, check_class_membership

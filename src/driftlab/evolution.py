@@ -122,21 +122,6 @@ def build_prescribed_velocity(spec: VelocitySpec, grid: GridSpec) -> VelocityFie
     raise ValueError(f"velocity kind {spec.kind!r} is not prescribed (use an SQG run)")
 
 
-def velocity_function(spec: VelocitySpec, grid: GridSpec):
-    """Callable t -> VelocityField for a prescribed velocity."""
-    base = build_prescribed_velocity(spec, grid)
-    if spec.omega == 0.0:
-        return lambda t: base
-    omega = spec.omega
-
-    def at(t: float) -> VelocityField:
-        factor = math.cos(omega * t)
-        comps = tuple(ScalarField.adopt(grid, factor * c.values) for c in base.components)
-        return VelocityField(grid, comps, divergence_free=True)
-
-    return at
-
-
 @dataclass(frozen=True)
 class SimConfig:
     grid: GridSpec
@@ -161,6 +146,8 @@ class SimConfig:
             raise ValueError(f"alpha must be in (0, 2], got {self.alpha}")
         if self.kind == "sqg" and self.grid.d != 2:
             raise ValueError("SQG runs require d=2")
+        if self.velocity.kind == "sqg" and self.kind != "sqg":
+            raise ValueError("velocity.kind = sqg needs equation.kind = sqg")
         if self.t_end < 0.0:
             raise ValueError("end time must be nonnegative")
         if self.dt is not None and self.dt <= 0.0:
@@ -197,17 +184,36 @@ class DualState:
 
 
 class VelocityHistory:
-    """Forward velocity samples u(., t) with linear interpolation in time."""
+    """Forward velocity u(., t): a prescribed drift, a callable, or stored
+    samples with linear interpolation in time.
 
-    def __init__(self, grid: GridSpec, times=None, samples=None, func=None):
+    ``profile`` is a prescribed drift's profile, whose sup norm bounds the
+    drift at every time; it is None for other histories.
+    """
+
+    def __init__(self, grid: GridSpec, times=None, samples=None, func=None, profile=None):
         self.grid = grid
         self._func = func
         self.times = None if times is None else np.asarray(times, dtype=float)
         self._samples = samples
+        self.profile = profile
 
     @classmethod
-    def from_static(cls, u: VelocityField) -> "VelocityHistory":
-        return cls(u.grid, func=lambda t, u=u: u)
+    def prescribed(cls, spec: VelocitySpec, grid: GridSpec) -> "VelocityHistory":
+        """u(t) = cos(omega t) * profile.  The profile is built, and its
+        divergence checked, once: divergence is linear, so the check covers
+        every multiple of it, and a modulated sample needs no transform.
+        With omega = 0 every time gives the profile itself."""
+        profile = build_prescribed_velocity(spec, grid)
+        if spec.omega == 0.0:
+            return cls(grid, func=lambda t: profile, profile=profile)
+
+        def at(t: float) -> VelocityField:
+            factor = math.cos(spec.omega * t)
+            comps = tuple(ScalarField.adopt(grid, factor * c.values) for c in profile.components)
+            return VelocityField(grid, comps)
+
+        return cls(grid, func=at, profile=profile)
 
     @classmethod
     def from_callable(cls, grid: GridSpec, func) -> "VelocityHistory":
@@ -310,17 +316,24 @@ def _finite_field(
         raise NumericalAbort(step, t) from None
 
 
-def step_forward(state: EvolutionState, cfg: SimConfig, velocity=None) -> EvolutionState:
+def step_forward(
+    state: EvolutionState, cfg: SimConfig, velocity: VelocityHistory | None = None
+) -> EvolutionState:
     """Advance one step; velocity recomputed from theta for SQG runs.
 
-    ``velocity`` is the run's t -> VelocityField of a prescribed drift (see
-    ``velocity_function``); without it, a time-modulated drift is built from
-    ``cfg.velocity`` for this step.  The step starts from ``state.u``.
+    A drift step reads its midpoint and end velocities from ``velocity``,
+    the run's VelocityHistory; without one, the drift is ``state.u``, so a
+    time-modulated drift needs its history.  The step starts from
+    ``state.u``.  Reading the history makes no transform.
 
     An SQG step keeps the coefficients of its midpoint and end fields, so
     it makes 12 transforms: 3 for each advection tendency, 1 for each of
     the two fields and 2 for each of their velocities.
     """
+    sqg = cfg.kind == "sqg"
+    if velocity is None and not sqg and cfg.velocity.omega != 0.0:
+        raise ValueError("a time-modulated drift is stepped from its VelocityHistory")
+    drift = (lambda _t: state.u) if velocity is None else velocity.velocity_at
     grid = cfg.grid
     umax = state.u.max_norm()
     dt = cfg.dt if cfg.dt is not None else default_dt(grid, umax)
@@ -328,26 +341,15 @@ def step_forward(state: EvolutionState, cfg: SimConfig, velocity=None) -> Evolut
     _check_cfl(grid, dt, umax, step, t)
     sign = 1.0 if cfg.sign == REVERSED_SIGN else -1.0
     plan = spectral_plan(grid, cfg.alpha, dt, sign)
-    sqg = cfg.kind == "sqg"
-    vf = None
-    if not sqg and cfg.velocity.omega != 0.0:
-        vf = velocity if velocity is not None else velocity_function(cfg.velocity, grid)
     ch = state.theta.half_coefficients()
     mid = plan.predictor(ch, _u_phys(state.u))
     if sqg:
         umid = sqg_velocity(_finite_field(plan, mid, step, t, keep=True))
-    elif vf is not None:
-        umid = vf(state.t + 0.5 * dt)
     else:
-        umid = state.u
+        umid = drift(state.t + 0.5 * dt)
     ch_new = plan.corrector(ch, mid, _u_phys(umid))
     theta_new = _finite_field(plan, ch_new, step, t, keep=sqg)
-    if sqg:
-        u_new = sqg_velocity(theta_new)
-    elif vf is not None:
-        u_new = vf(t)
-    else:
-        u_new = state.u
+    u_new = sqg_velocity(theta_new) if sqg else drift(t)
     return EvolutionState(t=t, theta=theta_new, u=u_new, step=step)
 
 
@@ -391,12 +393,12 @@ def run_forward(cfg: SimConfig, theta0: ScalarField) -> RunResult:
     grid = cfg.grid
     if theta0.grid != grid:
         raise ValueError("initial field grid does not match the configuration")
-    if cfg.kind == "sqg" or cfg.velocity.kind == "sqg":
+    if cfg.kind == "sqg":
+        history = None
         u = sqg_velocity(theta0)
-        vf = None
     else:
-        vf = velocity_function(cfg.velocity, grid)
-        u = vf(0.0)
+        history = VelocityHistory.prescribed(cfg.velocity, grid)
+        u = history.velocity_at(0.0)
     umax = u.max_norm()
     dt = cfg.dt if cfg.dt is not None else default_dt(grid, umax)
     nsteps = int(round(cfg.t_end / dt)) if cfg.t_end > 0 else 0
@@ -417,7 +419,7 @@ def run_forward(cfg: SimConfig, theta0: ScalarField) -> RunResult:
     states = [state]
     diags = [_diag_row(state, cfg)]
     for _ in range(nsteps):
-        state = step_forward(state, cfg, vf)
+        state = step_forward(state, cfg, history)
         if store_history:
             hist_times.append(state.t)
             hist_samples.append(_u_phys(state.u))
@@ -427,9 +429,7 @@ def run_forward(cfg: SimConfig, theta0: ScalarField) -> RunResult:
             diags.append(_diag_row(state, cfg))
     if store_history:
         history = VelocityHistory.from_samples(grid, hist_times, hist_samples)
-    elif vf is not None:
-        history = VelocityHistory.from_callable(grid, vf)
-    else:
+    elif history is None:
         def _unavailable(t):
             raise ValueError("velocity history was not stored for this run")
 
@@ -463,8 +463,9 @@ def run_dual(
         raise ValueError(
             f"velocity history does not cover [0, {horizon:.6g}]"
         )
-    umax = history.velocity_at(horizon).max_norm()
-    dt = cfg.dt if cfg.dt is not None else default_dt(grid, umax)
+    # a prescribed drift's profile bounds it at every time
+    bound = history.profile if history.profile is not None else history.velocity_at(horizon)
+    dt = cfg.dt if cfg.dt is not None else default_dt(grid, bound.max_norm())
     nsteps = int(round(horizon / dt)) if horizon > 0 else 0
     sign = -1.0 if cfg.sign == REVERSED_SIGN else 1.0
     plan = spectral_plan(grid, cfg.alpha, dt, sign)

@@ -40,7 +40,6 @@ from .evolution import (
     run_forward,
     sqg_velocity,
     track_center,
-    velocity_function,
 )
 
 TRANSIENT_FRACTION = 0.1  # leading fraction of samples dropped before fits
@@ -121,10 +120,6 @@ def _fit_slice(n: int) -> slice:
     if n - k < 2:
         k = max(0, n - 2)
     return slice(k, None)
-
-
-def _prescribed_history(spec: VelocitySpec, grid: GridSpec) -> VelocityHistory:
-    return VelocityHistory.from_callable(grid, velocity_function(spec, grid))
 
 
 def _reversed_history(history: VelocityHistory, horizon: float) -> VelocityHistory:
@@ -237,7 +232,7 @@ def verify_linfty_decay(
     rep = _report("linfty_decay", scenario)
 
     run_cfg = replace(cfg, cadence=10**9)
-    history = _prescribed_history(cfg.velocity, grid)
+    history = VelocityHistory.prescribed(cfg.velocity, grid)
     dual = run_dual(run_cfg, psi0, horizon=horizon, history=history)
     s = dual.series["s"]
     M = dual.series["linf"]
@@ -335,7 +330,7 @@ def verify_concentration(
     x0 = np.array(report0.best_center)
 
     run_cfg = replace(cfg, cadence=1)
-    history = _prescribed_history(cfg.velocity, grid)
+    history = VelocityHistory.prescribed(cfg.velocity, grid)
     dual = run_dual(run_cfg, psi0, horizon=horizon, history=history)
     dt = dual.config.dt
     dual_hist = _reversed_history(history, horizon)
@@ -457,7 +452,7 @@ def verify_l1_decay(
 
     # the single-mode reference reads only the series: keep no snapshot
     run_cfg = replace(cfg, cadence=1 if reference == "class" else 10**9)
-    history = _prescribed_history(cfg.velocity, grid)
+    history = VelocityHistory.prescribed(cfg.velocity, grid)
     dual = run_dual(run_cfg, psi0, horizon=horizon, history=history)
     s = dual.series["s"]
     l1 = dual.series["l1"]
@@ -557,12 +552,11 @@ def verify_class_evolution(
     rep = _report("class_evolution", scenario)
 
     K_trials = [m * r / horizon for m in (1, 2, 4, 8, 16)]
-    umax = velocity_function(cfg.velocity, grid)(0.0).max_norm()
-    dt = cfg.dt if cfg.dt is not None else default_dt(grid, umax)
+    history = VelocityHistory.prescribed(cfg.velocity, grid)
+    dt = cfg.dt if cfg.dt is not None else default_dt(grid, history.profile.max_norm())
     nsamples = 12
     cadence = max(1, int(round(horizon / dt)) // nsamples)
     run_cfg = replace(cfg, dt=dt, cadence=cadence)
-    history = _prescribed_history(cfg.velocity, grid)
     dual = run_dual(run_cfg, psi0, horizon=horizon, history=history)
 
     svals = np.array([st.s for st in dual.states])

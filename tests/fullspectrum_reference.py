@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from driftlab.evolution import REVERSED_SIGN, velocity_function
+from driftlab.evolution import REVERSED_SIGN, VelocityHistory
 from driftlab.grids import GridSpec
 
 TWO_PI = 2.0 * np.pi
@@ -87,7 +87,7 @@ def run_forward(cfg, theta0: np.ndarray) -> np.ndarray:
     grid = cfg.grid
     sign = 1.0 if cfg.sign == REVERSED_SIGN else -1.0
     stepper = Stepper(grid, cfg.dt, cfg.alpha, sign)
-    vf = None if cfg.kind == "sqg" else velocity_function(cfg.velocity, grid)
+    vf = None if cfg.kind == "sqg" else VelocityHistory.prescribed(cfg.velocity, grid).velocity_at
     theta, t = np.asarray(theta0, dtype=float), 0.0
     u = sqg_velocity(theta, grid) if vf is None else tuple(c.values for c in vf(0.0).components)
     for _ in range(int(round(cfg.t_end / cfg.dt))):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from driftlab.evolution import REVERSED_SIGN, sqg_velocity, velocity_function
+from driftlab.evolution import REVERSED_SIGN, VelocityHistory, sqg_velocity
 from driftlab.grids import GridSpec, ScalarField, half_spectrum
 from driftlab.operators import TWO_PI, dealias_mask
 
@@ -58,12 +58,12 @@ def run_forward(cfg, theta0: np.ndarray) -> np.ndarray:
     plan = Plan(grid, cfg.alpha, dt, sign)
     sqg = cfg.kind == "sqg"
     theta = ScalarField(grid, theta0)
-    u = sqg_velocity(theta) if sqg else velocity_function(cfg.velocity, grid)(0.0)
+    u = sqg_velocity(theta) if sqg else VelocityHistory.prescribed(cfg.velocity, grid).velocity_at(0.0)
     t = 0.0
     for _ in range(int(round(cfg.t_end / dt))):
         vf = None
         if not sqg and cfg.velocity.omega != 0.0:
-            vf = velocity_function(cfg.velocity, grid)
+            vf = VelocityHistory.prescribed(cfg.velocity, grid).velocity_at
         u0 = u if vf is None else vf(t)
         ch = theta.half_coefficients() if sqg else plan.forward(theta.values)
         mid = plan.predictor(ch, _phys(u0))

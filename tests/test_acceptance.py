@@ -18,7 +18,6 @@ from driftlab.evolution import (
     VelocitySpec,
     run_dual,
     run_forward,
-    velocity_function,
 )
 from driftlab.grids import GridSpec, ScalarField, to_spectral
 from driftlab.operators import (
@@ -115,7 +114,7 @@ def test_05_dual_l1_contraction():
     worst = -math.inf
     for name, cfg in scenarios:
         psi = make_test_function(4, cfg.grid).field
-        hist = VelocityHistory.from_callable(cfg.grid, velocity_function(cfg.velocity, cfg.grid))
+        hist = VelocityHistory.prescribed(cfg.velocity, cfg.grid)
         res = run_dual(cfg, psi, horizon=0.05, history=hist)
         worst = max(worst, float(np.max(np.diff(res.series["l1"]))))
     closed = verify_l1_decay(reference="single_mode")

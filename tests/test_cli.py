@@ -202,6 +202,17 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "snap_10.tf").exists()
 
+    def test_sqg_velocity_needs_the_sqg_equation(self, tmp_path, capsys):
+        # a drift run would freeze the SQG velocity of the initial datum
+        cfg = _write_cfg(
+            tmp_path,
+            "grid.d = 2\ngrid.N = 32\ntime.dt = 1e-3\ntime.T = 0.01\nvelocity.kind = sqg\n",
+        )
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "velocity.kind" in capsys.readouterr().err
+
     def test_sqg_datum_on_the_nyquist_row(self, tmp_path):
         # both Riesz transforms are zero on the Nyquist lines, so the SQG
         # velocity of a datum with content there passes its divergence check
@@ -256,6 +267,16 @@ class TestDualCommand:
         cfg = _write_cfg(tmp_path, text, name="steady.cfg")
         assert cli.main(["dual", "--config", cfg, "--out", str(tmp_path / "steady")]) == 2
         assert "admissible dt <= 7.813e-05" in capsys.readouterr().err
+
+    def test_modulated_drift_with_a_derived_dt(self, tmp_path):
+        # dt comes from the profile, which bounds the drift at every time,
+        # not from the drift at the horizon (cos(pi/2) u here)
+        cfg = _write_cfg(
+            tmp_path,
+            "grid.N = 64\ndual.horizon = 0.05\nvelocity.kind = constant\n"
+            "velocity.constant = 100\nvelocity.omega = 31.41592653589793\n",
+        )
+        assert cli.main(["dual", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
 
     def test_sqg_history_gap(self, tmp_path):
         cfg = _write_cfg(tmp_path, "grid.d = 2\ngrid.N = 16\nequation.kind = sqg\n")

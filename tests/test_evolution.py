@@ -22,7 +22,6 @@ from driftlab.evolution import (
     sqg_velocity,
     step_forward,
     track_center,
-    velocity_function,
 )
 from driftlab.spaces import make_test_function
 
@@ -40,6 +39,12 @@ class TestConfig:
             SimConfig(grid=g, kind="sqg")  # needs d=2
         with pytest.raises(ValueError):
             SimConfig(grid=g, dt=-1.0)
+
+    def test_sqg_velocity_needs_the_sqg_equation(self):
+        g = GridSpec(d=2, N=16)
+        with pytest.raises(ValueError, match="velocity.kind"):
+            SimConfig(grid=g, velocity=VelocitySpec(kind="sqg"))
+        SimConfig(grid=g, kind="sqg", velocity=VelocitySpec(kind="sqg"))
 
     def test_velocity_spec(self):
         with pytest.raises(ValueError):
@@ -120,7 +125,7 @@ class TestStepping:
     def test_dual_blowup_aborts_at_step_1(self):
         g = GridSpec(d=2, N=32)
         phi = random_band_limited(g, 4, seed=0, amplitude=1e307)
-        history = VelocityHistory.from_static(VelocityField.constant(g, (1.0, 1.0)))
+        history = VelocityHistory.prescribed(VelocitySpec(kind="constant"), g)
         with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as exc:
             run_dual(SimConfig(grid=g, dt=1e-3), phi, horizon=0.01, history=history)
         assert exc.value.step == 1
@@ -138,7 +143,7 @@ class TestStepping:
         ch = plan.forward(datum.values)
         for _ in range(10):
             ch = plan.E * ch
-        history = VelocityHistory.from_static(VelocityField.zero(g))
+        history = VelocityHistory.prescribed(VelocitySpec(), g)
         # the sums behind the diagnostics' norms and means overflow on this datum
         with np.errstate(over="ignore", invalid="ignore"):
             fwd = run_forward(cfg, datum).states[-1].theta.values
@@ -224,13 +229,26 @@ class TestVelocityHistory:
         assert hist.covers(0.0, 0.5)
         assert not hist.covers(0.0, 0.6)
 
-    def test_modulated_velocity_function(self):
+    def test_prescribed_modulated_drift(self):
         g = GridSpec(d=2, N=16)
         spec = VelocitySpec(kind="shear", amplitude=1.0, omega=TWO_PI)
-        vf = velocity_function(spec, g)
+        hist = VelocityHistory.prescribed(spec, g)
         base = build_prescribed_velocity(spec, g)
-        half = vf(0.5)  # cos(pi) = -1
+        half = hist.velocity_at(0.5)  # cos(pi) = -1
         assert np.allclose(half.components[1].values, -base.components[1].values)
+
+    def test_modulated_file_drift_checked_when_built(self, tmp_path):
+        # a divergent profile is rejected once, when its history is built
+        from driftlab.fieldio import save_field
+
+        g = GridSpec(d=2, N=16)
+        x1, _ = g.coords()
+        paths = (str(tmp_path / "u1.tf"), str(tmp_path / "u2.tf"))
+        save_field(ScalarField(g, np.sin(TWO_PI * x1)), paths[0])
+        save_field(ScalarField.constant(g, 0.0), paths[1])
+        spec = VelocitySpec(kind="file", paths=paths, omega=3.0)
+        with pytest.raises(ValueError, match="divergence"):
+            VelocityHistory.prescribed(spec, g)
 
 
 class TestDual:
@@ -238,7 +256,7 @@ class TestDual:
         g = GridSpec(d=1, N=64)
         phi = random_band_limited(g, 4, seed=3)
         cfg = SimConfig(grid=g, dt=1e-3)
-        hist = VelocityHistory.from_static(VelocityField.zero(g))
+        hist = VelocityHistory.prescribed(VelocitySpec(), g)
         res = run_dual(cfg, phi, horizon=0.0, history=hist)
         assert np.array_equal(res.states[-1].phi.values, phi.values)
 
@@ -246,7 +264,7 @@ class TestDual:
         g = GridSpec(d=1, N=256)
         phi = make_test_function(3, g).field
         cfg = SimConfig(grid=g, dt=1e-4)
-        hist = VelocityHistory.from_static(VelocityField.zero(g))
+        hist = VelocityHistory.prescribed(VelocitySpec(), g)
         res = run_dual(cfg, phi, horizon=0.02, history=hist)
         assert np.all(np.diff(res.series["l1"]) <= 1e-6)
         assert np.max(np.abs(res.series["mean"])) < 1e-13
@@ -255,7 +273,7 @@ class TestDual:
         g = GridSpec(d=2, N=32)
         u = VelocityField.constant(g, (1.0, 1.0))
         res = run_dual(SimConfig(grid=g), random_band_limited(g, 4, seed=0), horizon=0.01,
-                       history=VelocityHistory.from_static(u))
+                       history=VelocityHistory.from_callable(g, lambda t: u))
         assert res.config.dt == default_dt(g, u.max_norm())
 
     def test_uncovered_history_rejected(self):
@@ -283,7 +301,7 @@ class TestDual:
 class TestTrajectory:
     def test_constant_flow(self):
         g = GridSpec(d=2, N=32)
-        hist = VelocityHistory.from_static(VelocityField.constant(g, (0.5, -0.25)))
+        hist = VelocityHistory.prescribed(VelocitySpec(kind="constant", constant=(0.5, -0.25)), g)
         times, traj = track_center((0.1, 0.9), 0.1, hist, t_span=0.4, dt=0.01)
         assert traj[-1][0] == pytest.approx((0.1 + 0.5 * 0.4) % 1.0, abs=1e-12)
         assert traj[-1][1] == pytest.approx((0.9 - 0.25 * 0.4) % 1.0, abs=1e-12)
@@ -296,6 +314,6 @@ class TestTrajectory:
 
     def test_radius_validation(self):
         g = GridSpec(d=1, N=32)
-        hist = VelocityHistory.from_static(VelocityField.zero(g))
+        hist = VelocityHistory.prescribed(VelocitySpec(), g)
         with pytest.raises(ValueError):
             track_center((0.0,), 0.7, hist, 0.1, 0.01)

@@ -18,7 +18,6 @@ from driftlab.evolution import (
     run_dual,
     run_forward,
     spectral_plan,
-    velocity_function,
 )
 from driftlab.grids import (
     GridSpec,
@@ -68,7 +67,7 @@ def test_forward_matches_full_spectrum(name, grid, kind, velocity, sign):
 def test_dual_matches_full_spectrum(sign):
     grid = GridSpec(d=2, N=32)
     cfg = SimConfig(grid=grid, sign=sign, velocity=MODULATED, dt=2e-3)
-    history = VelocityHistory.from_callable(grid, velocity_function(MODULATED, grid))
+    history = VelocityHistory.prescribed(MODULATED, grid)
     phi = random_band_limited(grid, band=6, seed=12)
     got = run_dual(cfg, phi, horizon=0.06, history=history).states[-1].phi.values
     assert _rel(got, ref.run_dual(cfg, phi.values, 0.06, history)) <= RTOL

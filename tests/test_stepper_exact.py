@@ -1,11 +1,12 @@
 """The stepper against its frozen pre-skip version (stepper_reference.py).
 
-A zero-velocity stage skips its transforms and a modulated drift is built
-once per run; neither may change a single bit of a final field.  An SQG
-step carries its half-spectrum coefficients, in the library and in the
-reference alike; test_spectral_plan.py gates SQG fields against the
-full-spectrum reference too.  The transform counts, the one build per run
-and the one velocity norm per run are checked here too.
+A zero-velocity stage skips its transforms and a modulated drift is built,
+and its divergence checked, once per run; neither may change a single bit
+of a final field.  An SQG step carries its half-spectrum coefficients, in
+the library and in the reference alike; test_spectral_plan.py gates SQG
+fields against the full-spectrum reference too.  The transform counts, the
+one build and one divergence check per run and the one velocity norm per
+run are checked here too.
 """
 
 import numpy as np
@@ -25,8 +26,8 @@ from driftlab.evolution import (
     shear_velocity,
     spectral_plan,
     step_forward,
-    velocity_function,
 )
+from driftlab import grids
 from driftlab.grids import GridSpec, VelocityField
 from driftlab.operators import random_band_limited
 
@@ -73,7 +74,7 @@ def test_forward_is_bit_identical(grid, kind, velocity, sign):
 )
 def test_dual_is_bit_identical(grid, velocity):
     cfg = SimConfig(grid=grid, velocity=velocity, dt=2e-3)
-    history = VelocityHistory.from_callable(grid, velocity_function(velocity, grid))
+    history = VelocityHistory.prescribed(velocity, grid)
     phi = random_band_limited(grid, band=6, seed=22)
     got = run_dual(cfg, phi, horizon=0.06, history=history).states[-1].phi.values
     assert _same_bits(got, ref.run_dual(cfg, phi.values, 0.06, history))
@@ -110,7 +111,7 @@ def test_zero_velocity_forward_step_makes_two_transforms(grid, fft_calls):
 
 def test_zero_velocity_dual_step_makes_one_transform(fft_calls):
     cfg = SimConfig(grid=G2, dt=1e-3)
-    history = VelocityHistory.from_static(VelocityField.zero(G2))
+    history = VelocityHistory.prescribed(ZERO, G2)
     phi = random_band_limited(G2, band=4, seed=0)
     run_dual(cfg, phi, horizon=1e-3, history=history)
     fft_calls.clear()
@@ -142,6 +143,56 @@ def test_sqg_step_makes_twelve_transforms(fft_calls):
     assert len(fft_calls) == 3 * 12
 
 
+def test_modulated_step_makes_eight_transforms(fft_calls):
+    # the drift at the midpoint and at the end is a multiple of the checked
+    # profile: no divergence check, so no transform beyond the steady shear's
+    cfg = SimConfig(grid=G2, dt=1e-3, velocity=MODULATED)
+    history = VelocityHistory.prescribed(MODULATED, G2)
+    state = _drift_state(G2, history.velocity_at(0.0))
+    spectral_plan(G2, cfg.alpha, cfg.dt, 1.0)
+    fft_calls.clear()
+    step_forward(state, cfg, history)
+    assert len(fft_calls) == 8
+
+
+def test_modulated_dual_step_makes_seven_transforms(fft_calls):
+    cfg = SimConfig(grid=G2, dt=1e-3, velocity=MODULATED)
+    history = VelocityHistory.prescribed(MODULATED, G2)
+    phi = random_band_limited(G2, band=4, seed=0)
+    run_dual(cfg, phi, horizon=1e-3, history=history)
+    fft_calls.clear()
+    run_dual(cfg, phi, horizon=3e-3, history=history)
+    # the initial forward transform, then per step 3 for each of the two
+    # tendencies and 1 inverse
+    assert len(fft_calls) == 1 + 3 * 7
+
+
+@pytest.fixture
+def divergence_checks(monkeypatch):
+    """Counts grids.spectral_divergence_max calls."""
+    calls = []
+    check = grids.spectral_divergence_max
+
+    def counted(components):
+        calls.append(1)
+        return check(components)
+
+    monkeypatch.setattr(grids, "spectral_divergence_max", counted)
+    return calls
+
+
+def test_a_modulated_run_checks_divergence_once(divergence_checks):
+    cfg = SimConfig(grid=G2, dt=2e-3, t_end=0.02, velocity=MODULATED)
+    result = run_forward(cfg, random_band_limited(G2, band=4, seed=0))
+    assert result.states[-1].step == 10
+    assert len(divergence_checks) == 1
+    divergence_checks.clear()
+    history = VelocityHistory.prescribed(MODULATED, G2)
+    dual = run_dual(cfg, random_band_limited(G2, band=4, seed=0), horizon=0.02, history=history)
+    assert dual.states[-1].step == 10
+    assert len(divergence_checks) == 1
+
+
 def test_modulated_run_builds_its_drift_once(monkeypatch):
     built = []
     build = evolution.build_prescribed_velocity
@@ -157,14 +208,13 @@ def test_modulated_run_builds_its_drift_once(monkeypatch):
     assert len(built) == 1
 
 
-def test_two_argument_step_builds_a_modulated_drift():
+def test_two_argument_step_rejects_a_modulated_drift():
+    # without the run's history the step has only state.u, a steady drift
     cfg = SimConfig(grid=G2, dt=2e-3, t_end=0.02, velocity=MODULATED)
-    vf = velocity_function(MODULATED, G2)
-    state = EvolutionState(t=0.0, theta=random_band_limited(G2, band=4, seed=0), u=vf(0.0), step=0)
-    a = step_forward(state, cfg)
-    b = step_forward(state, cfg, vf)
-    assert _same_bits(a.theta.values, b.theta.values)
-    assert _same_bits(a.u.components[1].values, vf(2e-3).components[1].values)
+    history = VelocityHistory.prescribed(MODULATED, G2)
+    state = _drift_state(G2, history.velocity_at(0.0))
+    with pytest.raises(ValueError, match="VelocityHistory"):
+        step_forward(state, cfg)
 
 
 def test_a_run_computes_the_velocity_norm_once(monkeypatch):
@@ -185,5 +235,5 @@ def test_a_run_computes_the_velocity_norm_once(monkeypatch):
     computed.clear()
     u = shear_velocity(G2, SHEAR.amplitude)
     run_dual(cfg, random_band_limited(G2, band=4, seed=0), horizon=0.02,
-             history=VelocityHistory.from_static(u))
+             history=VelocityHistory.from_callable(G2, lambda t: u))
     assert len(computed) == 1 and computed[0] is u

@@ -111,6 +111,13 @@ class TestDuality:
         assert rep.passed()
         assert min(rep.series["halving_ratio"]) >= 3.5
 
+    def test_stored_sqg_history(self):
+        # the dual run interpolates the forward run's stored SQG velocities
+        cfg = SimConfig(grid=GridSpec(d=2, N=32), kind="sqg", store_history=True)
+        rep = verify_duality(cfg=cfg, t=0.1, dt_list=(2e-3, 1e-3, 5e-4))
+        assert rep.passed()
+        assert min(rep.series["halving_ratio"]) >= 3.5
+
 
 class TestLinftyDecay:
     def test_zero_velocity(self):
@@ -144,7 +151,7 @@ class TestConcentration:
         # the dual profile under constant drift is the translated zero-drift
         # profile; check the fields spectrally, and G up to the quadrature
         # error of the sqrt weight at off-grid centers
-        from driftlab.evolution import VelocityHistory, run_dual, velocity_function
+        from driftlab.evolution import VelocityHistory, run_dual
         from driftlab.grids import to_spectral
 
         g = GridSpec(d=1, N=256)
@@ -152,8 +159,8 @@ class TestConcentration:
         c, horizon, dt = 0.1, 2.0**-5, 5e-5
         cfg0 = SimConfig(grid=g, dt=dt)
         cfgc = SimConfig(grid=g, dt=dt, velocity=VelocitySpec(kind="constant", constant=(c,)))
-        hist0 = VelocityHistory.from_callable(g, velocity_function(cfg0.velocity, g))
-        histc = VelocityHistory.from_callable(g, velocity_function(cfgc.velocity, g))
+        hist0 = VelocityHistory.prescribed(cfg0.velocity, g)
+        histc = VelocityHistory.prescribed(cfgc.velocity, g)
         d0 = run_dual(cfg0, psi0, horizon=horizon, history=hist0)
         dc = run_dual(cfgc, psi0, horizon=horizon, history=histc)
         (n,) = g.modes()
