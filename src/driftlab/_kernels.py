@@ -2,7 +2,9 @@
 
 * ``ball_deviation`` / ``bmo_oscillation``: the ball means and oscillations
   behind the BMO norm and the L2 oscillation ratio of the concentration
-  suite.
+  suite.  The means are one FFT correlation; the deviations are summed one
+  ball offset at a time over all sampled centers, and a ball that covers
+  most of the torus is summed over its complement.
 * ``singular_kernel_apply``: the lattice sum of the direct (singular-integral)
   fractional Laplacian, as one real-FFT correlation.
 * ``holder_pair_max``: the Holder quotient maximized over all grid pairs.
@@ -14,7 +16,6 @@ The element-by-element loop versions of these kernels are kept in
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 # ---------------------------------------------------------------------------
 # periodic offsets
@@ -38,8 +39,6 @@ def periodic_correlation(f: np.ndarray, w: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # ball means and oscillations at strided centers
 
-_WINDOW_ELEMENTS = 1 << 17  # elements (1 MiB of float64) in one window temporary
-
 
 def ball_offsets(d: int, N: int, radius: float):
     """Grid offsets within periodic distance <= radius of a node."""
@@ -47,17 +46,20 @@ def ball_offsets(d: int, N: int, radius: float):
     return tuple(idx.astype(np.int64) for idx in np.nonzero(mask))
 
 
-def ball_deviation(values: np.ndarray, offsets, stride: int, n_centers: int, dev) -> np.ndarray:
+def ball_deviation(values: np.ndarray, offsets, stride: int, dev) -> np.ndarray:
     """Mean over the ball c + offsets of dev(f - mean_ball f), at the centers
-    c = stride * k, 0 <= k < n_centers along each axis.
+    c = stride * k, 0 <= k < ceil(N / stride) along each axis.
 
     ``offsets`` is one index array per axis, as from ``ball_offsets``;
     ``dev`` is a ufunc such as ``np.abs`` or ``np.square``.  The ball means
-    come from one real-FFT correlation with the ball indicator at every
-    node.  The deviations are summed only at the requested centers, one row
-    offset of the ball at a time, from strided windows over the rows it
-    touches: in each row the ball's column offsets are one periodic run
-    around 0, as for any periodic ball.
+    come from one real-FFT correlation with the ball indicator.  The
+    deviations are summed one ball offset at a time: each offset reads one
+    strided view of a periodically padded copy of f, which holds that
+    offset's value for every center.  For dev = |.| a ball that holds more
+    than half of the nodes is summed over its complement instead:
+    sum_x |f(x) - a| over the whole torus, for every center mean a, comes
+    from one sort of f and its prefix sums, and the complement's
+    deviations are subtracted from it.
     """
     # oscillations are shift invariant; centering makes a constant field
     # exactly zero through the transforms
@@ -67,30 +69,26 @@ def ball_deviation(values: np.ndarray, offsets, stride: int, n_centers: int, dev
     m = offsets[0].size
     ball = np.zeros(f.shape)
     ball[tuple(offsets)] = 1.0
-    sums = periodic_correlation(f, ball)
-    centers = np.arange(n_centers) * stride
-    means = (sums[np.ix_(*[centers] * d)] / m).reshape(-1, n_centers)
-    # a 1-d field is one row; its centers are the columns of that row
-    rows = f.reshape(-1, N)
-    row_centers = centers if d == 2 else np.zeros(1, dtype=np.int64)
-    row_offs = offsets[0] if d == 2 else np.zeros(m, dtype=np.int64)
-    col_offs = offsets[-1]
-    out = np.zeros_like(means)
-    for oi in np.unique(row_offs):
-        run = col_offs[row_offs == oi]
-        start, k = int(np.min((run + N // 2) % N - N // 2)), run.size
-        cols_per = max(1, min(n_centers, _WINDOW_ELEMENTS // k))
-        rows_per = max(1, _WINDOW_ELEMENTS // (cols_per * k))
-        for j0 in range(0, n_centers, cols_per):
-            j1 = min(j0 + cols_per, n_centers)
-            cols = (start + j0 * stride + np.arange((j1 - j0 - 1) * stride + k)) % N
-            for i0 in range(0, row_centers.size, rows_per):
-                i1 = min(i0 + rows_per, row_centers.size)
-                seg = rows[np.ix_((row_centers[i0:i1] + oi) % rows.shape[0], cols)]
-                win = sliding_window_view(seg, k, axis=1)[:, ::stride]
-                t = win - means[i0:i1, j0:j1, None]
-                out[i0:i1, j0:j1] += dev(t, out=t).sum(axis=2)
-    return (out / m).reshape((n_centers,) * d)
+    last = (-(-N // stride) - 1) * stride
+    means = periodic_correlation(f, ball)[(slice(0, last + 1, stride),) * d] / m
+    total = np.zeros_like(means)
+    accumulate = np.add
+    if dev is np.abs and 2 * m > f.size:
+        values_sorted = np.sort(f, axis=None)
+        # extended-precision prefix sums: a float64 running sum of ~N^d
+        # same-signed values loses ~1e-13 of the total
+        prefix = np.concatenate(([0.0], np.cumsum(values_sorted, dtype=np.longdouble)))
+        below = np.searchsorted(values_sorted, means)
+        total = (prefix[-1] - 2.0 * prefix[below] + means * (2 * below - f.size)).astype(np.float64)
+        offsets = np.nonzero(ball == 0.0)
+        accumulate = np.subtract
+    padded = np.pad(f, [(0, last)] * d, mode="wrap")
+    t = np.empty_like(means)
+    views = ([slice(o, o + last + 1, stride) for o in axis.tolist()] for axis in offsets)
+    for view in zip(*views):
+        np.subtract(padded[view], means, out=t)
+        accumulate(total, dev(t, out=t), out=total)
+    return total / m
 
 
 def bmo_oscillation(values: np.ndarray, radius: float, stride: int = 1) -> float:
@@ -98,8 +96,7 @@ def bmo_oscillation(values: np.ndarray, radius: float, stride: int = 1) -> float
     the mean oscillation at one radius."""
     f = np.asarray(values, dtype=np.float64)
     offsets = ball_offsets(f.ndim, f.shape[0], radius)
-    n_centers = -(-f.shape[0] // stride)
-    return float(ball_deviation(f, offsets, stride, n_centers, np.abs).max())
+    return float(ball_deviation(f, offsets, stride, np.abs).max())
 
 
 # ---------------------------------------------------------------------------

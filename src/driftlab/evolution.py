@@ -122,6 +122,16 @@ def build_prescribed_velocity(spec: VelocitySpec, grid: GridSpec) -> VelocityFie
     raise ValueError(f"velocity kind {spec.kind!r} is not prescribed (use an SQG run)")
 
 
+# VelocitySpec fields and the configuration keys that set them
+_VELOCITY_KEYS = (
+    ("kind", "velocity.kind"),
+    ("amplitude", "velocity.amplitude"),
+    ("constant", "velocity.constant"),
+    ("paths", "velocity.file"),
+    ("omega", "velocity.omega"),
+)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     grid: GridSpec
@@ -148,6 +158,13 @@ class SimConfig:
             raise ValueError("SQG runs require d=2")
         if self.velocity.kind == "sqg" and self.kind != "sqg":
             raise ValueError("velocity.kind = sqg needs equation.kind = sqg")
+        if self.kind == "sqg":
+            # the SQG velocity is computed from theta; a prescribed drift
+            # configured beside it would be ignored
+            unused = VelocitySpec(kind="sqg" if self.velocity.kind == "sqg" else "zero")
+            for name, key in _VELOCITY_KEYS:
+                if getattr(self.velocity, name) != getattr(unused, name):
+                    raise ValueError(f"{key} is ignored by equation.kind = sqg")
         if self.t_end < 0.0:
             raise ValueError("end time must be nonnegative")
         if self.dt is not None and self.dt <= 0.0:

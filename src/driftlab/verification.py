@@ -284,15 +284,10 @@ def _l2_oscillation_ratio(u: VelocityField, radii, stride: int) -> float:
     """
     grid = u.grid
     worst = 0.0
-    d1 = _kernels.offset_distance(1, grid.N)
     for comp in u.components:
         for rho in radii:
-            if grid.d == 1:
-                mask = d1 <= rho + 1e-15
-            else:
-                mask = d1[:, None] ** 2 + d1[None, :] ** 2 <= rho**2 + 1e-15
-            n_centers = grid.N // stride
-            msq = _kernels.ball_deviation(comp.values, np.nonzero(mask), stride, n_centers, np.square)
+            offsets = _kernels.ball_offsets(grid.d, grid.N, rho)
+            msq = _kernels.ball_deviation(comp.values, offsets, stride, np.square)
             worst = max(worst, float(np.sqrt(msq.max())))
     return worst
 

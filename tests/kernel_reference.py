@@ -1,8 +1,9 @@
 """Frozen diagnostic kernels: the BMO ball scans, the L2 oscillation ratio,
 the Holder pair max and the Littlewood-Paley band fit as they were before
 the FFT ball means, the offset-pair halving and the one-transform bands;
-and the element-by-element loops of the singular lattice sum and the Holder
-pair max.
+the windowed BMO kernel as it was before the per-offset sums and the
+complement of large balls; and the element-by-element loops of the
+singular lattice sum and the Holder pair max.
 
 Kept only as numerical references for tests/test_kernels.py,
 tests/test_operators.py, tests/test_spaces.py and tests/test_verification.py;
@@ -14,7 +15,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from driftlab._kernels import periodic_correlation
 from driftlab.grids import SpectralField, to_physical, to_spectral
 from driftlab.spaces import max_band_level, smooth_cutoff
 
@@ -57,6 +60,45 @@ def bmo_osc_2d(f, offs_i, offs_j, stride):
             if osc > best:
                 best = osc
     return best
+
+
+# ---------------------------------------------------------------------------
+# BMO: FFT ball means, deviations summed from strided windows over the rows
+# each ball touches (one periodic run of columns per row offset)
+
+_WINDOW_ELEMENTS = 1 << 17
+
+
+def ball_deviation_windows(values, offsets, stride: int, n_centers: int, dev):
+    f = np.asarray(values, dtype=np.float64)
+    f = f - f.flat[0]
+    d, N = f.ndim, f.shape[0]
+    m = offsets[0].size
+    ball = np.zeros(f.shape)
+    ball[tuple(offsets)] = 1.0
+    sums = periodic_correlation(f, ball)
+    centers = np.arange(n_centers) * stride
+    means = (sums[np.ix_(*[centers] * d)] / m).reshape(-1, n_centers)
+    rows = f.reshape(-1, N)
+    row_centers = centers if d == 2 else np.zeros(1, dtype=np.int64)
+    row_offs = offsets[0] if d == 2 else np.zeros(m, dtype=np.int64)
+    col_offs = offsets[-1]
+    out = np.zeros_like(means)
+    for oi in np.unique(row_offs):
+        run = col_offs[row_offs == oi]
+        start, k = int(np.min((run + N // 2) % N - N // 2)), run.size
+        cols_per = max(1, min(n_centers, _WINDOW_ELEMENTS // k))
+        rows_per = max(1, _WINDOW_ELEMENTS // (cols_per * k))
+        for j0 in range(0, n_centers, cols_per):
+            j1 = min(j0 + cols_per, n_centers)
+            cols = (start + j0 * stride + np.arange((j1 - j0 - 1) * stride + k)) % N
+            for i0 in range(0, row_centers.size, rows_per):
+                i1 = min(i0 + rows_per, row_centers.size)
+                seg = rows[np.ix_((row_centers[i0:i1] + oi) % rows.shape[0], cols)]
+                win = sliding_window_view(seg, k, axis=1)[:, ::stride]
+                t = win - means[i0:i1, j0:j1, None]
+                out[i0:i1, j0:j1] += dev(t, out=t).sum(axis=2)
+    return (out / m).reshape((n_centers,) * d)
 
 
 # ---------------------------------------------------------------------------

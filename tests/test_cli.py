@@ -213,6 +213,18 @@ class TestSimulateCommand:
         assert not out.exists()
         assert "velocity.kind" in capsys.readouterr().err
 
+    def test_sqg_equation_rejects_a_prescribed_drift(self, tmp_path, capsys):
+        # the SQG velocity is computed from theta; the shear would be ignored
+        cfg = _write_cfg(
+            tmp_path,
+            "grid.d = 2\ngrid.N = 32\ntime.dt = 1e-3\ntime.T = 0.01\n"
+            "equation.kind = sqg\nvelocity.kind = shear\nvelocity.amplitude = 5\n",
+        )
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "velocity.kind" in capsys.readouterr().err
+
     def test_sqg_datum_on_the_nyquist_row(self, tmp_path):
         # both Riesz transforms are zero on the Nyquist lines, so the SQG
         # velocity of a datum with content there passes its divergence check

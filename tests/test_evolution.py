@@ -46,6 +46,22 @@ class TestConfig:
             SimConfig(grid=g, velocity=VelocitySpec(kind="sqg"))
         SimConfig(grid=g, kind="sqg", velocity=VelocitySpec(kind="sqg"))
 
+    @pytest.mark.parametrize(
+        "spec,key",
+        [
+            (VelocitySpec(kind="shear", amplitude=5.0), "velocity.kind"),
+            (VelocitySpec(amplitude=5.0), "velocity.amplitude"),
+            (VelocitySpec(kind="sqg", omega=3.0), "velocity.omega"),
+            (VelocitySpec(constant=(1.0, 0.0)), "velocity.constant"),
+            (VelocitySpec(paths=("u1.tf", "u2.tf")), "velocity.file"),
+        ],
+    )
+    def test_sqg_equation_rejects_a_prescribed_drift(self, spec, key):
+        # the SQG velocity is computed from theta, so these keys would be ignored
+        g = GridSpec(d=2, N=16)
+        with pytest.raises(ValueError, match=key):
+            SimConfig(grid=g, kind="sqg", velocity=spec)
+
     def test_velocity_spec(self):
         with pytest.raises(ValueError):
             VelocitySpec(kind="vortex")

@@ -3,15 +3,20 @@
 Each kernel has one numpy implementation.  The ``*_backends_agree*`` tests
 check it against the element-by-element loops in kernel_reference.py: the
 BMO ball scans, the singular lattice sum and the Holder pair max.  The
-Holder pair max must also equal the frozen numpy loops there exactly.
+Holder pair max must also equal the frozen numpy loops there exactly, and
+the BMO kernel must agree with the frozen windowed kernel there.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import kernel_reference
 from driftlab import _kernels
+from driftlab.grids import GridSpec
+from driftlab.operators import random_band_limited
+from driftlab.spaces import default_bmo_radii
+from driftlab.verification import near_delta_bump
 
 
 def _rand(shape, seed):
@@ -84,6 +89,54 @@ def test_bmo_constant_and_zero_exact(shape, stride):
             assert _kernels.bmo_oscillation(v, radius, stride) == 0.0
 
 
+@given(
+    st.sampled_from([16, 24]),
+    st.integers(1, 5),
+    st.floats(0.3, 0.5, exclude_min=True),
+    st.integers(0, 1000),
+)
+@settings(max_examples=30, deadline=None)
+def test_bmo_large_balls_match_ball_scan(N, stride, radius, seed):
+    # above r ~ 0.4 a 2-d ball holds more than half of the nodes and is summed
+    # over its complement; strides 3 and 5 do not divide 16 or 24
+    v = _rand((N, N), seed)
+    assert _kernels.bmo_oscillation(v, radius, stride) == pytest.approx(
+        _bmo_loop(v, radius, stride), rel=1e-12
+    )
+    # in 1-d the r = 1/2 ball is the whole circle: its complement is empty
+    w = v[0]
+    assert _kernels.bmo_oscillation(w, 0.5, stride) == pytest.approx(
+        _bmo_loop(w, 0.5, stride), rel=1e-12
+    )
+
+
+def _frozen_kernel_fields(d, N):
+    grid = GridSpec(d=d, N=N)
+    bump = near_delta_bump(grid, 0.02).values
+    shift = tuple(int(s) for s in np.random.default_rng(N).integers(0, N, size=d))
+    return grid, {
+        "noise": random_band_limited(grid, 8 if d == 2 else 16, seed=N + d).values,
+        "near_delta": np.roll(bump, shift, axis=tuple(range(d))),
+    }
+
+
+@pytest.mark.parametrize(
+    "d,N,stride", [(2, 128, 2), (2, 128, 4), (2, 256, 8), (2, 64, 1), (1, 1024, 16)]
+)
+def test_bmo_matches_frozen_window_kernel(d, N, stride):
+    # per-offset and complement sums against the windowed kernel they replace,
+    # at every center of every radius of the default ladder
+    grid, fields = _frozen_kernel_fields(d, N)
+    n_centers = -(-N // stride)
+    for v in fields.values():
+        for radius in default_bmo_radii(grid):
+            offsets = _kernels.ball_offsets(d, N, radius)
+            ref = kernel_reference.ball_deviation_windows(v, offsets, stride, n_centers, np.abs)
+            new = _kernels.ball_deviation(v, offsets, stride, np.abs)
+            assert new.shape == ref.shape
+            assert np.max(np.abs(new - ref)) <= 1e-11 * np.max(ref)
+
+
 def _assert_singular_agrees(shape, seed):
     v = _rand(shape, seed)
     K = np.abs(_rand(shape, seed + 1))
@@ -146,3 +199,11 @@ def test_ball_offsets_counts():
     assert len(offs) == 9
     ii, jj = _kernels.ball_offsets(2, 16, 0.125)
     assert len(ii) == len(jj) == 13
+    # the r = 1/2 balls of the loop tests hold more than half of the nodes in
+    # 2-d, so ball_deviation sums them over their complement; in 1-d that
+    # ball is the whole circle
+    for N in (16, 24):
+        ii, _ = _kernels.ball_offsets(2, N, 0.5)
+        assert 2 * ii.size > N * N
+        (offs,) = _kernels.ball_offsets(1, N, 0.5)
+        assert offs.size == N

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import kernel_reference
+from driftlab import _kernels
 from driftlab.grids import GridSpec, ScalarField, VelocityField
 from driftlab.operators import norms, random_band_limited
 from driftlab.evolution import SimConfig, VelocitySpec
-from driftlab.spaces import make_test_function
+from driftlab.spaces import default_bmo_radii, make_test_function
 from driftlab.verification import (
     SUITE_REGISTRY,
     _holder_direct_subsampled,
@@ -202,6 +203,22 @@ class TestConcentration:
         radii = [0.5, 0.25, 0.3, 1.0 / N]
         expected = kernel_reference.l2_oscillation_ratio(u, radii, stride)
         assert _l2_oscillation_ratio(u, radii, stride) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("N", [8, 16, 32, 64, 128, 256, 512])
+    def test_l2_balls_are_the_bmo_balls(self, d, N):
+        # at the suite's radii, ball_offsets selects the nodes of the
+        # squared-distance test the L2 ratio used before
+        d1 = np.minimum(np.arange(N), N - np.arange(N)) * (1.0 / N)
+        for rho in default_bmo_radii(GridSpec(d=d, N=N))[:2]:
+            if d == 1:
+                mask = d1 <= rho + 1e-15
+            else:
+                mask = d1[:, None] ** 2 + d1[None, :] ** 2 <= rho**2 + 1e-15
+            offsets = _kernels.ball_offsets(d, N, rho)
+            assert len(offsets) == d
+            for got, want in zip(offsets, np.nonzero(mask)):
+                assert np.array_equal(got, want)
 
 
 class TestL1Decay:
