@@ -212,6 +212,13 @@ def cmd_verify(args) -> int:
     if args.config is not None:
         plan = parse_config(args.config, seed_override=args.seed)
         suite = plan.suite
+        # the suites run their bundled scenarios: refuse a key they would ignore
+        ignored = [key for key in plan.given if key not in ("suite", "seed")]
+        if ignored:
+            raise ConfigError(
+                f"{ignored[0]}: ignored by verify, whose suites run their bundled "
+                "scenarios; set only suite (and seed)"
+            )
     if suite == "all":
         names = sorted(SUITE_REGISTRY)
     elif suite in SUITE_REGISTRY:

@@ -91,6 +91,7 @@ class RunPlan:
 
     config: SimConfig
     raw: dict
+    given: tuple = ()  # the keys the file sets, in file order
     initial: dict = field(default_factory=dict)
     suite: str = "all"
     dual: dict = field(default_factory=dict)
@@ -175,6 +176,7 @@ def build_plan(values: dict, seed_override: int | None = None) -> RunPlan:
     return RunPlan(
         config=cfg,
         raw=v,
+        given=tuple(values),
         initial={
             "kind": v["initial.kind"],
             "band": v["initial.band"],

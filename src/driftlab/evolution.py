@@ -282,8 +282,11 @@ class SpectralPlan(AdvectionTendency):
         lam = (TWO_PI * half_spectrum(grid).radius) ** alpha
         self.E = np.exp(-lam * dt)
         self.E_half = np.exp(-lam * (0.5 * dt))
-        self.E.setflags(write=False)
-        self.E_half.setflags(write=False)
+        # the product dt * E_half that the corrector's left-to-right
+        # dt * E_half * tendency forms first
+        self.dt_E_half = dt * self.E_half
+        for a in (self.E, self.E_half, self.dt_E_half):
+            a.setflags(write=False)
 
     def predictor(self, ch: np.ndarray, u0_phys: tuple) -> np.ndarray:
         """Midpoint coefficients, with the velocity at the step start."""
@@ -291,11 +294,22 @@ class SpectralPlan(AdvectionTendency):
 
     def corrector(self, ch: np.ndarray, mid: np.ndarray, umid_phys: tuple) -> np.ndarray:
         """End of the step from its start ``ch`` and its midpoint ``mid``."""
-        return self.E * ch + self.dt * self.E_half * self.nonlinear(mid, umid_phys)
+        return self.E * ch + self.dt_E_half * self.nonlinear(mid, umid_phys)
 
     def step(self, ch: np.ndarray, u0_phys: tuple, umid_phys: tuple) -> np.ndarray:
-        """Midpoint step; stage velocities at the step start and midpoint."""
-        return self.corrector(ch, self.predictor(ch, u0_phys), umid_phys)
+        """Midpoint step; stage velocities at the step start and midpoint.
+        A midpoint velocity that is zero everywhere skips the predictor,
+        which the corrector would not read."""
+        if any(uj.any() for uj in umid_phys):
+            return self.corrector(ch, self.predictor(ch, u0_phys), umid_phys)
+        return self.E * ch + self.zero_increment
+
+    @functools.cached_property
+    def zero_increment(self) -> np.ndarray:
+        """The corrector's dt * E_half * tendency for a zero velocity."""
+        z = self.dt_E_half * self.zero_tendency
+        z.setflags(write=False)
+        return z
 
 
 @functools.lru_cache(maxsize=8)
@@ -320,15 +334,11 @@ def _check_cfl(grid: GridSpec, dt: float, umax: float, step: int, t: float):
         raise CFLAbort(step, t, dt, admissible)
 
 
-def _finite_field(
-    plan: SpectralPlan, ch: np.ndarray, step: int, t: float, keep: bool = False
-) -> ScalarField:
-    """The field of new half-spectrum coefficients, which it keeps if
-    ``keep``; raises NumericalAbort if any of its values is not finite."""
+def _finite_field(step: int, t: float, build, grid: GridSpec, data: np.ndarray) -> ScalarField:
+    """``build(grid, data)``, a ScalarField constructor on new values or
+    coefficients; raises NumericalAbort if any value is not finite."""
     try:
-        if keep:
-            return ScalarField.from_half_spectrum(plan.grid, ch)
-        return ScalarField.adopt(plan.grid, plan.inverse(ch))
+        return build(grid, data)
     except ValueError:  # the values have the grid's shape: they are not finite
         raise NumericalAbort(step, t) from None
 
@@ -345,7 +355,8 @@ def step_forward(
 
     An SQG step keeps the coefficients of its midpoint and end fields, so
     it makes 12 transforms: 3 for each advection tendency, 1 for each of
-    the two fields and 2 for each of their velocities.
+    the two fields and 2 for each of their velocities.  A drift step makes
+    2k+4 with k nonzero velocity components (``SpectralPlan.step``).
     """
     sqg = cfg.kind == "sqg"
     if velocity is None and not sqg and cfg.velocity.omega != 0.0:
@@ -359,15 +370,16 @@ def step_forward(
     sign = 1.0 if cfg.sign == REVERSED_SIGN else -1.0
     plan = spectral_plan(grid, cfg.alpha, dt, sign)
     ch = state.theta.half_coefficients()
+    if not sqg:
+        ch = plan.step(ch, _u_phys(state.u), _u_phys(drift(state.t + 0.5 * dt)))
+        theta_new = _finite_field(step, t, ScalarField.adopt, grid, plan.inverse(ch))
+        return EvolutionState(t=t, theta=theta_new, u=drift(t), step=step)
+    # the corrector reads the midpoint coefficients: its field keeps a copy
     mid = plan.predictor(ch, _u_phys(state.u))
-    if sqg:
-        umid = sqg_velocity(_finite_field(plan, mid, step, t, keep=True))
-    else:
-        umid = drift(state.t + 0.5 * dt)
-    ch_new = plan.corrector(ch, mid, _u_phys(umid))
-    theta_new = _finite_field(plan, ch_new, step, t, keep=sqg)
-    u_new = sqg_velocity(theta_new) if sqg else drift(t)
-    return EvolutionState(t=t, theta=theta_new, u=u_new, step=step)
+    umid = sqg_velocity(_finite_field(step, t, ScalarField.from_half_spectrum, grid, mid))
+    ch = plan.corrector(ch, mid, _u_phys(umid))
+    theta_new = _finite_field(step, t, ScalarField.adopt_half_spectrum, grid, ch)
+    return EvolutionState(t=t, theta=theta_new, u=sqg_velocity(theta_new), step=step)
 
 
 @dataclass
@@ -497,7 +509,7 @@ def run_dual(
         umid = history.velocity_at(horizon - s - 0.5 * dt)
         ch = plan.step(ch, _u_phys(u0), _u_phys(umid))
         s += dt
-        f = _finite_field(plan, ch, step, s)
+        f = _finite_field(step, s, ScalarField.adopt, grid, plan.inverse(ch))
         rec = norms(f)
         svals.append(s)
         l1s.append(rec.l1)

@@ -53,7 +53,7 @@ def load_field(path) -> ScalarField:
         raise ValueError(
             f"{path}: expected {grid.size} values for d={d} N={N}, found {len(data)}"
         )
-    values = np.array([float(v) for v in data]).reshape(grid.shape)
+    values = np.array(data, dtype=float).reshape(grid.shape)
     return ScalarField.adopt(grid, values)
 
 

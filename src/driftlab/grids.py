@@ -122,16 +122,37 @@ class ScalarField:
     @classmethod
     def adopt(cls, grid: GridSpec, values: np.ndarray) -> "ScalarField":
         """Field on a new array that the caller hands over and no longer
-        writes: it is made read-only and taken without a copy."""
+        writes: it is made read-only and taken without a copy.  A C-ordered
+        float64 array of the grid's shape is only tested for finiteness."""
         values.setflags(write=False)
-        return cls(grid, values)
+        if not (
+            type(values) is np.ndarray
+            and values.dtype == np.float64
+            and values.shape == grid.shape
+            and values.flags.c_contiguous
+        ):
+            return cls(grid, values)
+        if not np.isfinite(values).all():
+            raise ValueError("field values must be finite")
+        f = object.__new__(cls)
+        object.__setattr__(f, "grid", grid)
+        object.__setattr__(f, "values", values)
+        object.__setattr__(f, "_half", None)
+        return f
 
     @classmethod
     def from_half_spectrum(cls, grid: GridSpec, ch: np.ndarray) -> "ScalarField":
-        """Field of half-spectrum coefficients, which it keeps in the form
-        that ``irfftn`` realises (``HalfSpectrum.hermitian``)."""
+        """Field of half-spectrum coefficients, which it keeps, as a copy,
+        in the form that ``irfftn`` realises (``HalfSpectrum.hermitian``)."""
+        return cls.adopt_half_spectrum(grid, np.array(ch, dtype=complex))
+
+    @classmethod
+    def adopt_half_spectrum(cls, grid: GridSpec, ch: np.ndarray) -> "ScalarField":
+        """``from_half_spectrum`` on a new complex array that the caller
+        hands over and no longer reads or writes: its self-conjugate columns
+        are made Hermitian in place, and it is kept without a copy."""
         spec = half_spectrum(grid)
-        ch = spec.hermitian(ch)
+        spec.make_hermitian(ch)
         f = cls.adopt(grid, spec.inverse(ch))
         ch.setflags(write=False)
         object.__setattr__(f, "_half", ch)
@@ -161,7 +182,7 @@ class ScalarField:
         return cls(grid, func(*grid.coords()))
 
     def mean(self) -> float:
-        return float(np.mean(self.values))
+        return float(self.values.mean())
 
     def is_mean_zero(self, rtol: float = MEAN_ZERO_RTOL) -> bool:
         amp = float(np.max(np.abs(self.values)))
@@ -270,12 +291,15 @@ class HalfSpectrum:
         N/2) hold each mode and its mirror -n, and the inverse transform
         keeps only their Hermitian part (c_n + conj(c_{-n})) / 2; every
         other coefficient is its own."""
-        out = np.array(ch, dtype=complex)
-        cols = [0, self.grid.N // 2]
-        c = out[..., cols]
+        return self.make_hermitian(np.array(ch, dtype=complex))
+
+    def make_hermitian(self, ch: np.ndarray) -> np.ndarray:
+        """``hermitian`` in place on a complex array, which it returns."""
+        cols = (Ellipsis, slice(None, None, self.grid.N // 2))  # columns 0 and N/2
+        c = ch[cols]
         mirror = c[self._mirror_rows] if self.grid.d == 2 else c
-        out[..., cols] = 0.5 * (c + np.conj(mirror))
-        return out
+        ch[cols] = 0.5 * (c + np.conj(mirror))
+        return ch
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Half-spectrum coefficients c_n of real grid values (to_spectral's

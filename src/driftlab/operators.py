@@ -38,10 +38,11 @@ class NormRecord:
 def norms(f: ScalarField) -> NormRecord:
     vol = f.grid.cell_volume
     v = f.values
+    a = np.abs(v)
     return NormRecord(
-        l1=float(np.sum(np.abs(v)) * vol),
-        l2=float(np.sqrt(np.sum(v**2) * vol)),
-        linf=float(np.max(np.abs(v))),
+        l1=float(a.sum() * vol),
+        l2=float(np.sqrt((v**2).sum() * vol)),
+        linf=float(a.max()),
     )
 
 
@@ -71,7 +72,7 @@ def riesz_transform(f: ScalarField, j: int) -> ScalarField:
     if j not in (1, 2):
         raise ValueError(f"component index must be 1 or 2, got {j}")
     ch = f.half_coefficients() * _riesz_multipliers(f.grid)[j - 1]
-    return ScalarField.from_half_spectrum(f.grid, ch)
+    return ScalarField.adopt_half_spectrum(f.grid, ch)
 
 
 @functools.lru_cache(maxsize=8)
@@ -134,11 +135,16 @@ class AdvectionTendency:
 
     def nonlinear(self, ch: np.ndarray, u_phys: tuple) -> np.ndarray:
         """Spectral tendency of half-spectrum coefficients ``ch`` under the
-        velocity arrays ``u_phys``; a velocity that is zero everywhere costs
-        no transform."""
-        if not any(uj.any() for uj in u_phys):
+        velocity arrays ``u_phys``.  A component that is zero everywhere
+        costs no transform, and a velocity that is zero everywhere none.
+
+        A dropped term is a signed zero everywhere.  The sum starts from
+        the integer 0, so no partial sum is -0.0, and adding a signed zero
+        to one changes no bit: the product is the full sum's."""
+        terms = [(ikj, uj) for ikj, uj in zip(self.ik, u_phys) if uj.any()]
+        if not terms:
             return self.zero_tendency
-        prod = sum(uj * self.inverse(ikj * ch) for ikj, uj in zip(self.ik, u_phys))
+        prod = sum(uj * self.inverse(ikj * ch) for ikj, uj in terms)
         return self.forward(prod) * self.mask
 
     @functools.cached_property

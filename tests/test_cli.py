@@ -63,6 +63,23 @@ class TestSnapshotFormat:
         back = fieldio.load_field(path)
         assert back.values.tobytes() == f.values.tobytes()
 
+    def test_parse_keeps_the_bits_of_edge_values(self, tmp_path):
+        # the whole-array parse reads every value back as float() would
+        grid = GridSpec(d=2, N=64)
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal(grid.size) * 10.0 ** rng.uniform(-320, 300, grid.size)
+        big, tiny = np.finfo(float).max, np.finfo(float).tiny
+        edge = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, tiny, -tiny, big, -big,
+                np.nextafter(1.0, 2.0), 1 / 3, 0.1]
+        v[: len(edge)] = edge
+        f = ScalarField(grid, v)
+        path = tmp_path / "f.tf"
+        fieldio.save_field(f, path)
+        back = fieldio.load_field(path)
+        assert back.values.tobytes() == f.values.tobytes()
+        tokens = path.read_text().split()[4:]
+        assert back.values.tobytes() == np.array([float(t) for t in tokens]).tobytes()
+
 
 class TestConfigParsing:
     def test_minimal_defaults(self, tmp_path):
@@ -341,6 +358,22 @@ class TestVerifyCommand:
         cfg = _write_cfg(tmp_path, "suite = cohomology\n")
         assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
         assert "duality" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("suite = l1_single_mode\ngrid.N = 64\n", "grid.N"),
+            ("suite = l1_single_mode\nseed = 3\nvelocity.kind = constant\n"
+             "velocity.constant = 3\n", "velocity.kind"),
+        ],
+        ids=["grid", "velocity"],
+    )
+    def test_a_key_the_suites_ignore_is_refused(self, tmp_path, capsys, text, key):
+        cfg = _write_cfg(tmp_path, text)
+        out = tmp_path / "v"
+        assert cli.main(["verify", "--config", cfg, "--out", str(out), "--seed", "1"]) == 2
+        assert f"{key}: ignored by verify" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_verify_reports_deterministic(self, tmp_path):
         cfg = _write_cfg(tmp_path, "suite = l1_single_mode\n")

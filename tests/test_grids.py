@@ -66,6 +66,11 @@ class TestScalarField:
         g = GridSpec(d=1, N=8)
         with pytest.raises(ValueError):
             ScalarField(g, np.full(8, np.inf))
+        for bad in (np.inf, -np.inf, np.nan):
+            v = np.zeros(8)
+            v[5] = bad
+            with pytest.raises(ValueError, match="finite"):
+                ScalarField.adopt(g, v)
 
     def test_values_read_only(self):
         f = ScalarField.constant(GridSpec(d=1, N=8), 1.0)
@@ -107,6 +112,15 @@ class TestScalarField:
         assert np.array_equal(f.values, values)
         with pytest.raises(ValueError):
             f.half_coefficients()[0, 0] = 1.0
+
+    def test_adopted_coefficients_are_kept_without_a_copy(self):
+        g = GridSpec(d=2, N=8)
+        ch = half_spectrum(g).forward(_random_field(g, 1).values)
+        copied = ScalarField.from_half_spectrum(g, ch)
+        f = ScalarField.adopt_half_spectrum(g, ch)
+        assert f.half_coefficients() is ch and not ch.flags.writeable
+        assert f.values.tobytes() == copied.values.tobytes()
+        assert ch.tobytes() == copied.half_coefficients().tobytes()
 
     def test_read_only_values_are_shared(self):
         f = _random_field(GridSpec(d=2, N=8), 2)

@@ -1,12 +1,14 @@
 """The stepper against its frozen pre-skip version (stepper_reference.py).
 
-A zero-velocity stage skips its transforms and a modulated drift is built,
-and its divergence checked, once per run; neither may change a single bit
-of a final field.  An SQG step carries its half-spectrum coefficients, in
-the library and in the reference alike; test_spectral_plan.py gates SQG
-fields against the full-spectrum reference too.  The transform counts, the
-one build and one divergence check per run and the one velocity norm per
-run are checked here too.
+A zero-velocity stage or component skips its transforms, a dual step with
+a zero midpoint velocity skips its predictor, and a modulated drift is
+built, and its divergence checked, once per run; none of these may change
+a single bit of a final field, signed zeros included.  An SQG step carries
+its half-spectrum coefficients, in the library and in the reference alike,
+and the reference keeps its own frozen SQG velocity; test_spectral_plan.py
+gates SQG fields against the full-spectrum reference too.  The transform
+counts, the one build and one divergence check per run and the one
+velocity norm per run are checked here too.
 """
 
 import numpy as np
@@ -36,6 +38,8 @@ G2 = GridSpec(d=2, N=32)
 ZERO = VelocitySpec()
 SHEAR = VelocitySpec(kind="shear", amplitude=1.5)
 MODULATED = VelocitySpec(kind="shear", amplitude=1.5, omega=7.0)
+# cos(omega t) < 0 for t > pi/80 ~ 0.039: the zero component is -0.0 there
+REVERSING = VelocitySpec(kind="shear", amplitude=1.5, omega=40.0)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -54,11 +58,13 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
         (G2, "drift", SHEAR, STANDARD_SIGN),
         (G2, "drift", MODULATED, REVERSED_SIGN),
         (G2, "drift", MODULATED, STANDARD_SIGN),
+        (G2, "drift", REVERSING, REVERSED_SIGN),
         (G1, "drift", VelocitySpec(kind="constant", omega=5.0), REVERSED_SIGN),
         (G2, "sqg", ZERO, REVERSED_SIGN),
     ],
     ids=["zero_d1", "zero_d2", "zero_d2_standard", "constant", "shear", "shear_standard",
-         "modulated", "modulated_standard", "modulated_constant_d1", "sqg"],
+         "modulated", "modulated_standard", "modulated_negative", "modulated_constant_d1",
+         "sqg"],
 )
 def test_forward_is_bit_identical(grid, kind, velocity, sign):
     cfg = SimConfig(grid=grid, kind=kind, sign=sign, velocity=velocity, dt=2e-3, t_end=0.06)
@@ -69,8 +75,16 @@ def test_forward_is_bit_identical(grid, kind, velocity, sign):
 
 @pytest.mark.parametrize(
     "grid, velocity",
-    [(G1, ZERO), (G2, ZERO), (G2, MODULATED), (G1, VelocitySpec(kind="constant", omega=5.0))],
-    ids=["zero_d1", "zero_d2", "modulated", "modulated_constant_d1"],
+    [
+        (G1, ZERO),
+        (G2, ZERO),
+        (G2, SHEAR),
+        (G2, MODULATED),
+        (G2, REVERSING),
+        (G1, VelocitySpec(kind="constant", omega=5.0)),
+    ],
+    ids=["zero_d1", "zero_d2", "shear", "modulated", "modulated_negative",
+         "modulated_constant_d1"],
 )
 def test_dual_is_bit_identical(grid, velocity):
     cfg = SimConfig(grid=grid, velocity=velocity, dt=2e-3)
@@ -109,25 +123,35 @@ def test_zero_velocity_forward_step_makes_two_transforms(grid, fft_calls):
     assert len(fft_calls) == 2
 
 
-def test_zero_velocity_dual_step_makes_one_transform(fft_calls):
+def test_zero_velocity_dual_step_makes_one_transform(fft_calls, monkeypatch):
     cfg = SimConfig(grid=G2, dt=1e-3)
     history = VelocityHistory.prescribed(ZERO, G2)
     phi = random_band_limited(G2, band=4, seed=0)
     run_dual(cfg, phi, horizon=1e-3, history=history)
     fft_calls.clear()
+    predicted = []
+    predictor = evolution.SpectralPlan.predictor
+
+    def counted(plan, *args):
+        predicted.append(1)
+        return predictor(plan, *args)
+
+    monkeypatch.setattr(evolution.SpectralPlan, "predictor", counted)
     run_dual(cfg, phi, horizon=0.01, history=history)
-    # the initial forward transform, then one inverse per step
+    # the initial forward transform, then one inverse per step; the
+    # corrector of a zero midpoint velocity does not read the predictor
     assert len(fft_calls) == 1 + 10
+    assert predicted == []
 
 
-def test_shear_step_keeps_its_eight_transforms(fft_calls):
-    # the first component of a shear is zero, the second is not
+def test_shear_step_makes_six_transforms(fft_calls):
+    # the first component of a shear is zero and costs no transform
     cfg = SimConfig(grid=G2, dt=1e-3, velocity=SHEAR)
     state = _drift_state(G2, shear_velocity(G2, SHEAR.amplitude))
     spectral_plan(G2, cfg.alpha, cfg.dt, 1.0)
     fft_calls.clear()
     step_forward(state, cfg)
-    assert len(fft_calls) == 8
+    assert len(fft_calls) == 6
 
 
 def test_sqg_step_makes_twelve_transforms(fft_calls):
@@ -143,28 +167,29 @@ def test_sqg_step_makes_twelve_transforms(fft_calls):
     assert len(fft_calls) == 3 * 12
 
 
-def test_modulated_step_makes_eight_transforms(fft_calls):
+def test_modulated_step_makes_six_transforms(fft_calls):
     # the drift at the midpoint and at the end is a multiple of the checked
-    # profile: no divergence check, so no transform beyond the steady shear's
+    # profile: no divergence check, so no transform beyond the steady
+    # shear's 6, whose zero component costs none
     cfg = SimConfig(grid=G2, dt=1e-3, velocity=MODULATED)
     history = VelocityHistory.prescribed(MODULATED, G2)
     state = _drift_state(G2, history.velocity_at(0.0))
     spectral_plan(G2, cfg.alpha, cfg.dt, 1.0)
     fft_calls.clear()
     step_forward(state, cfg, history)
-    assert len(fft_calls) == 8
+    assert len(fft_calls) == 6
 
 
-def test_modulated_dual_step_makes_seven_transforms(fft_calls):
+def test_modulated_dual_step_makes_five_transforms(fft_calls):
     cfg = SimConfig(grid=G2, dt=1e-3, velocity=MODULATED)
     history = VelocityHistory.prescribed(MODULATED, G2)
     phi = random_band_limited(G2, band=4, seed=0)
     run_dual(cfg, phi, horizon=1e-3, history=history)
     fft_calls.clear()
     run_dual(cfg, phi, horizon=3e-3, history=history)
-    # the initial forward transform, then per step 3 for each of the two
-    # tendencies and 1 inverse
-    assert len(fft_calls) == 1 + 3 * 7
+    # the initial forward transform, then per step 2 for each of the two
+    # tendencies (the zero component costs none) and 1 inverse
+    assert len(fft_calls) == 1 + 3 * 5
 
 
 @pytest.fixture
