@@ -300,16 +300,9 @@ class SpectralPlan(AdvectionTendency):
         """Midpoint step; stage velocities at the step start and midpoint.
         A midpoint velocity that is zero everywhere skips the predictor,
         which the corrector would not read."""
-        if any(uj.any() for uj in umid_phys):
-            return self.corrector(ch, self.predictor(ch, u0_phys), umid_phys)
-        return self.E * ch + self.zero_increment
-
-    @functools.cached_property
-    def zero_increment(self) -> np.ndarray:
-        """The corrector's dt * E_half * tendency for a zero velocity."""
-        z = self.dt_E_half * self.zero_tendency
-        z.setflags(write=False)
-        return z
+        moving = any(uj.any() for uj in umid_phys)
+        mid = self.predictor(ch, u0_phys) if moving else ch
+        return self.corrector(ch, mid, umid_phys)
 
 
 @functools.lru_cache(maxsize=8)
@@ -355,8 +348,7 @@ def step_forward(
 
     An SQG step keeps the coefficients of its midpoint and end fields, so
     it makes 12 transforms: 3 for each advection tendency, 1 for each of
-    the two fields and 2 for each of their velocities.  A drift step makes
-    2k+4 with k nonzero velocity components (``SpectralPlan.step``).
+    the two fields and 2 for each of their velocities.
     """
     sqg = cfg.kind == "sqg"
     if velocity is None and not sqg and cfg.velocity.omega != 0.0:

@@ -122,28 +122,14 @@ class ScalarField:
     @classmethod
     def adopt(cls, grid: GridSpec, values: np.ndarray) -> "ScalarField":
         """Field on a new array that the caller hands over and no longer
-        writes: it is made read-only and taken without a copy.  A C-ordered
-        float64 array of the grid's shape is only tested for finiteness."""
+        writes: it is made read-only and taken without a copy."""
         values.setflags(write=False)
-        if not (
-            type(values) is np.ndarray
-            and values.dtype == np.float64
-            and values.shape == grid.shape
-            and values.flags.c_contiguous
-        ):
-            return cls(grid, values)
-        if not np.isfinite(values).all():
-            raise ValueError("field values must be finite")
-        f = object.__new__(cls)
-        object.__setattr__(f, "grid", grid)
-        object.__setattr__(f, "values", values)
-        object.__setattr__(f, "_half", None)
-        return f
+        return cls(grid, values)
 
     @classmethod
     def from_half_spectrum(cls, grid: GridSpec, ch: np.ndarray) -> "ScalarField":
         """Field of half-spectrum coefficients, which it keeps, as a copy,
-        in the form that ``irfftn`` realises (``HalfSpectrum.hermitian``)."""
+        in the form that ``irfftn`` realises (``HalfSpectrum.make_hermitian``)."""
         return cls.adopt_half_spectrum(grid, np.array(ch, dtype=complex))
 
     @classmethod
@@ -274,7 +260,7 @@ class HalfSpectrum:
         self.nyquist_rows = tuple(
             tuple(nyq if a == j else slice(None) for a in range(d)) for j in range(d - 1)
         )
-        self._mirror_rows = (-np.arange(N)) % N  # row of -n_1, for hermitian
+        self._mirror_rows = (-np.arange(N)) % N  # row of -n_1, for make_hermitian
         self.ik_mirror = tuple(
             spread(j, 2j * np.pi * np.where(m == -nyq, nyq, m)) for j, m in per_axis
         )
@@ -285,16 +271,12 @@ class HalfSpectrum:
         full-spectrum transform cancels the term there."""
         return np.where(np.abs(self.modes[j]) == self.grid.N // 2, 0.0, mult)
 
-    def hermitian(self, ch: np.ndarray) -> np.ndarray:
-        """A new array of the coefficients that ``inverse`` realises from
-        ``ch``.  The self-conjugate columns of the last axis (n_d = 0 and
-        N/2) hold each mode and its mirror -n, and the inverse transform
-        keeps only their Hermitian part (c_n + conj(c_{-n})) / 2; every
-        other coefficient is its own."""
-        return self.make_hermitian(np.array(ch, dtype=complex))
-
     def make_hermitian(self, ch: np.ndarray) -> np.ndarray:
-        """``hermitian`` in place on a complex array, which it returns."""
+        """Makes the complex array ``ch`` the coefficients that ``inverse``
+        realises from it, in place, and returns it.  The self-conjugate
+        columns of the last axis (n_d = 0 and N/2) hold each mode and its
+        mirror -n, and the inverse transform keeps only their Hermitian part
+        (c_n + conj(c_{-n})) / 2; every other coefficient is its own."""
         cols = (Ellipsis, slice(None, None, self.grid.N // 2))  # columns 0 and N/2
         c = ch[cols]
         mirror = c[self._mirror_rows] if self.grid.d == 2 else c

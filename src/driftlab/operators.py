@@ -135,16 +135,11 @@ class AdvectionTendency:
 
     def nonlinear(self, ch: np.ndarray, u_phys: tuple) -> np.ndarray:
         """Spectral tendency of half-spectrum coefficients ``ch`` under the
-        velocity arrays ``u_phys``.  A component that is zero everywhere
-        costs no transform, and a velocity that is zero everywhere none.
-
-        A dropped term is a signed zero everywhere.  The sum starts from
-        the integer 0, so no partial sum is -0.0, and adding a signed zero
-        to one changes no bit: the product is the full sum's."""
-        terms = [(ikj, uj) for ikj, uj in zip(self.ik, u_phys) if uj.any()]
-        if not terms:
+        velocity arrays ``u_phys``; a velocity that is zero everywhere costs
+        no transform."""
+        if not any(uj.any() for uj in u_phys):
             return self.zero_tendency
-        prod = sum(uj * self.inverse(ikj * ch) for ikj, uj in terms)
+        prod = sum(uj * self.inverse(ikj * ch) for ikj, uj in zip(self.ik, u_phys))
         return self.forward(prod) * self.mask
 
     @functools.cached_property

@@ -1,9 +1,9 @@
 """The stepper against its frozen pre-skip version (stepper_reference.py).
 
-A zero-velocity stage or component skips its transforms, a dual step with
-a zero midpoint velocity skips its predictor, and a modulated drift is
-built, and its divergence checked, once per run; none of these may change
-a single bit of a final field, signed zeros included.  An SQG step carries
+A zero-velocity stage skips its transforms, a step with a zero midpoint
+velocity skips its predictor, and a modulated drift is built, and its
+divergence checked, once per run; none of these may change a single bit
+of a final field, signed zeros included.  An SQG step carries
 its half-spectrum coefficients, in the library and in the reference alike,
 and the reference keeps its own frozen SQG velocity; test_spectral_plan.py
 gates SQG fields against the full-spectrum reference too.  The transform
@@ -144,14 +144,14 @@ def test_zero_velocity_dual_step_makes_one_transform(fft_calls, monkeypatch):
     assert predicted == []
 
 
-def test_shear_step_makes_six_transforms(fft_calls):
-    # the first component of a shear is zero and costs no transform
+def test_shear_step_keeps_its_eight_transforms(fft_calls):
+    # the first component of a shear is zero, the second is not
     cfg = SimConfig(grid=G2, dt=1e-3, velocity=SHEAR)
     state = _drift_state(G2, shear_velocity(G2, SHEAR.amplitude))
     spectral_plan(G2, cfg.alpha, cfg.dt, 1.0)
     fft_calls.clear()
     step_forward(state, cfg)
-    assert len(fft_calls) == 6
+    assert len(fft_calls) == 8
 
 
 def test_sqg_step_makes_twelve_transforms(fft_calls):
@@ -167,29 +167,28 @@ def test_sqg_step_makes_twelve_transforms(fft_calls):
     assert len(fft_calls) == 3 * 12
 
 
-def test_modulated_step_makes_six_transforms(fft_calls):
+def test_modulated_step_makes_eight_transforms(fft_calls):
     # the drift at the midpoint and at the end is a multiple of the checked
-    # profile: no divergence check, so no transform beyond the steady
-    # shear's 6, whose zero component costs none
+    # profile: no divergence check, so no transform beyond the steady shear's
     cfg = SimConfig(grid=G2, dt=1e-3, velocity=MODULATED)
     history = VelocityHistory.prescribed(MODULATED, G2)
     state = _drift_state(G2, history.velocity_at(0.0))
     spectral_plan(G2, cfg.alpha, cfg.dt, 1.0)
     fft_calls.clear()
     step_forward(state, cfg, history)
-    assert len(fft_calls) == 6
+    assert len(fft_calls) == 8
 
 
-def test_modulated_dual_step_makes_five_transforms(fft_calls):
+def test_modulated_dual_step_makes_seven_transforms(fft_calls):
     cfg = SimConfig(grid=G2, dt=1e-3, velocity=MODULATED)
     history = VelocityHistory.prescribed(MODULATED, G2)
     phi = random_band_limited(G2, band=4, seed=0)
     run_dual(cfg, phi, horizon=1e-3, history=history)
     fft_calls.clear()
     run_dual(cfg, phi, horizon=3e-3, history=history)
-    # the initial forward transform, then per step 2 for each of the two
-    # tendencies (the zero component costs none) and 1 inverse
-    assert len(fft_calls) == 1 + 3 * 5
+    # the initial forward transform, then per step 3 for each of the two
+    # tendencies and 1 inverse
+    assert len(fft_calls) == 1 + 3 * 7
 
 
 @pytest.fixture
