@@ -162,8 +162,8 @@ def cmd_diagnose(args) -> int:
             )
     f = fieldio.load_field(plan.diagnose["field"])
 
-    from .spaces import ClassParams, bmo_norm, check_class_membership, holder_from_lp
-    from .verification import _holder_direct_subsampled
+    from .spaces import ClassParams, bmo_norm, check_class_membership
+    from .spaces import holder_from_lp, holder_seminorm_decimated
 
     record = {"field": plan.diagnose["field"], "d": f.grid.d, "N": f.grid.N}
     for name in plan.diagnose["norms"]:
@@ -184,7 +184,7 @@ def cmd_diagnose(args) -> int:
             beta = plan.diagnose["beta"]
             record["holder"] = {
                 "beta": beta,
-                "seminorm": _holder_direct_subsampled(f, beta),
+                "seminorm": holder_seminorm_decimated(f, beta),
             }
         elif name == "class":
             params = ClassParams(r=plan.dual["r"], A=plan.dual["A"])

@@ -206,9 +206,8 @@ def build_initial_field(plan: RunPlan) -> ScalarField:
     """Realize the configured initial datum on the run grid."""
     import numpy as np
 
-    from .operators import TWO_PI, random_band_limited
+    from .operators import TWO_PI, near_delta_bump, random_band_limited
     from .spaces import make_test_function
-    from .verification import near_delta_bump
 
     grid = plan.config.grid
     kind = plan.initial["kind"]

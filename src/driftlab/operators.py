@@ -300,3 +300,11 @@ def random_band_limited(
     if peak > 0:
         vals = vals * (amplitude / peak)
     return ScalarField.adopt(grid, vals)
+
+
+def near_delta_bump(grid: GridSpec, width: float) -> ScalarField:
+    """L1-normalized approximate identity: the width-scale dissipation
+    semigroup applied to the unit Dirac comb mode; positive, mean one."""
+    if width <= 0:
+        raise ValueError("width must be positive")
+    return to_physical(SpectralField(grid, np.exp(-TWO_PI * width * grid.mode_radius())))

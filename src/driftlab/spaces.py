@@ -123,6 +123,20 @@ def holder_seminorm_direct(f: ScalarField, beta: float) -> float:
     return value
 
 
+def holder_seminorm_decimated(f: ScalarField, beta: float) -> float:
+    """Direct Holder seminorm, decimating the grid when the full pair
+    enumeration would exceed the guard (a lower bound of the full value)."""
+    grid = f.grid
+    stride = 1
+    while (grid.size // stride**grid.d) ** 2 > PAIR_GUARD:
+        stride *= 2
+    if stride == 1:
+        return holder_seminorm_direct(f, beta)
+    sub = GridSpec(d=grid.d, N=grid.N // stride)
+    idx = tuple([slice(None, None, stride)] * grid.d)
+    return holder_seminorm_direct(ScalarField(sub, f.values[idx]), beta)
+
+
 # ---------------------------------------------------------------------------
 # Littlewood-Paley bands
 
@@ -190,9 +204,12 @@ class LPBand:
     sup: float
 
 
-def lp_projection(f: ScalarField, j: int) -> LPBand:
-    """Band-pass f around frequency 2^j."""
-    return lp_bands(f, j, j)[0]
+def _iter_bands(f: ScalarField, j_min: int, j_max: int):
+    """Yield the bands j_min..j_max one at a time, from one transform of f."""
+    fh = to_spectral(f).coefficients
+    for j, mult in zip(range(j_min, j_max + 1), _band_multipliers(f.grid, j_min, j_max)):
+        band = to_physical(SpectralField(f.grid, fh * mult))
+        yield LPBand(j=j, field=band, sup=float(np.max(np.abs(band.values))))
 
 
 def lp_bands(f: ScalarField, j_min: int = 0, j_max: int | None = None) -> list:
@@ -201,12 +218,7 @@ def lp_bands(f: ScalarField, j_min: int = 0, j_max: int | None = None) -> list:
         j_max = max_band_level(f.grid)
     if 2**j_max > f.grid.N // 2:
         raise ValueError(f"band level {j_max} not resolvable on N={f.grid.N}")
-    fh = to_spectral(f).coefficients
-    bands = []
-    for j, mult in zip(range(j_min, j_max + 1), _band_multipliers(f.grid, j_min, j_max)):
-        band = to_physical(SpectralField(f.grid, fh * mult))
-        bands.append(LPBand(j=j, field=band, sup=float(np.max(np.abs(band.values)))))
-    return bands
+    return list(_iter_bands(f, j_min, j_max))
 
 
 @dataclass(frozen=True)
@@ -222,9 +234,9 @@ def holder_from_lp(f: ScalarField, noise_floor_factor: float = 1e-12) -> HolderF
     jmax = max_band_level(f.grid)
     if jmax + 1 < 4:
         raise ValueError("need at least 4 resolvable bands")
-    bands = lp_bands(f)
     floor = noise_floor_factor * float(np.max(np.abs(f.values)))
-    usable = [(b.j, b.sup) for b in bands if b.sup > floor]
+    # one band field alive at a time: the fit reads only the sups
+    usable = [(b.j, b.sup) for b in _iter_bands(f, 0, jmax) if b.sup > floor]
     if len(usable) < 2:
         raise ValueError(f"only {len(usable)} usable bands; cannot fit a decay rate")
     js = np.array([j for j, _ in usable], dtype=float)

@@ -18,18 +18,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernels
-from .grids import GridSpec, ScalarField, SpectralField, VelocityField, to_physical
-from .operators import TWO_PI, inner, norms, random_band_limited
+from .grids import GridSpec, ScalarField, VelocityField
+from .operators import TWO_PI, inner, near_delta_bump, norms, random_band_limited
 from .spaces import (
     ClassParams,
     check_class_membership,
     bmo_norm,
     default_bmo_radii,
     holder_from_lp,
-    holder_seminorm_direct,
+    holder_seminorm_decimated,
     make_test_function,
     omega_weighted_mass,
-    PAIR_GUARD,
 )
 from .evolution import (
     SimConfig,
@@ -122,11 +121,50 @@ def _fit_slice(n: int) -> slice:
     return slice(k, None)
 
 
-def _reversed_history(history: VelocityHistory, horizon: float) -> VelocityHistory:
-    """History in dual time: s -> u(., horizon - s)."""
-    return VelocityHistory.from_callable(
+def _drift_report(suite: str, cfg: SimConfig, **extra) -> VerificationReport:
+    """Report whose scenario starts from the grid and the prescribed drift."""
+    scenario = {
+        "suite": suite,
+        "d": cfg.grid.d,
+        "N": cfg.grid.N,
+        "velocity": cfg.velocity.kind,
+        "amplitude": cfg.velocity.amplitude,
+        **extra,
+    }
+    return _report(suite, scenario)
+
+
+def _prescribed_dual(cfg: SimConfig, psi0: ScalarField, horizon: float, cadence: int) -> tuple:
+    """(history, dual): the dual run of psi0 under the configured drift."""
+    history = VelocityHistory.prescribed(cfg.velocity, cfg.grid)
+    dual = run_dual(replace(cfg, cadence=cadence), psi0, horizon=horizon, history=history)
+    return history, dual
+
+
+def _tracked_centers(history: VelocityHistory, dual, x0, r: float) -> np.ndarray:
+    """Center carried from x0 by the ball-averaged velocity in dual time,
+    s -> u(., horizon - s), at each stored dual state."""
+    horizon, dt = dual.horizon, dual.config.dt
+    reversed_history = VelocityHistory.from_callable(
         history.grid, lambda s: history.velocity_at(horizon - s)
     )
+    _, traj = track_center(x0, r, reversed_history, horizon, dt)
+    return traj[[int(round(st.s / dt)) for st in dual.states]]
+
+
+def _class_member(psi0: ScalarField, r: float, A: float):
+    """Membership report of psi0 in the scale-r class; raises on a non-member."""
+    report = check_class_membership(psi0, ClassParams(r=r, A=A))
+    if not report.member:
+        raise ValueError(
+            f"initial field is not a scale-{r} class member: {report.summary()}"
+        )
+    return report
+
+
+def _velocity_bmo(u: VelocityField) -> float:
+    """Largest BMO norm of the components, centers on every (N/32)-th node."""
+    return max(bmo_norm(c, stride=max(1, u.grid.N // 32)) for c in u.components)
 
 
 # ---------------------------------------------------------------------------
@@ -154,18 +192,9 @@ def verify_duality(
         theta0 = random_band_limited(grid, band=4, seed=101)
     if phi is None:
         phi = random_band_limited(grid, band=4, seed=202)
-    scenario = {
-        "suite": "duality",
-        "d": grid.d,
-        "N": grid.N,
-        "velocity": cfg.velocity.kind,
-        "amplitude": cfg.velocity.amplitude,
-        "omega": cfg.velocity.omega,
-        "sign": cfg.sign,
-        "t": t,
-        "dt_list": list(dt_list),
-    }
-    rep = _report("duality", scenario)
+    rep = _drift_report(
+        "duality", cfg, omega=cfg.velocity.omega, sign=cfg.sign, t=t, dt_list=list(dt_list)
+    )
 
     scale = norms(theta0).l2 * norms(phi).l2
     discrepancies = []
@@ -212,28 +241,21 @@ def verify_linfty_decay(
     comparison with half the fitted constant.
     """
     if cfg is None:
-        grid = GridSpec(d=1, N=1024)
-        cfg = SimConfig(grid=grid)
+        cfg = SimConfig(grid=GridSpec(d=1, N=1024))
     grid = cfg.grid
     if psi0 is None:
         psi0 = make_test_function(5, grid).field
     if horizon is None:
         horizon = 0.05
-    scenario = {
-        "suite": "linfty_decay",
-        "d": grid.d,
-        "N": grid.N,
-        "velocity": cfg.velocity.kind,
-        "amplitude": cfg.velocity.amplitude,
-        "horizon": horizon,
-        "window_factor": window_factor,
-        "psi0_linf": norms(psi0).linf,
-    }
-    rep = _report("linfty_decay", scenario)
+    rep = _drift_report(
+        "linfty_decay",
+        cfg,
+        horizon=horizon,
+        window_factor=window_factor,
+        psi0_linf=norms(psi0).linf,
+    )
 
-    run_cfg = replace(cfg, cadence=10**9)
-    history = VelocityHistory.prescribed(cfg.velocity, grid)
-    dual = run_dual(run_cfg, psi0, horizon=horizon, history=history)
+    _, dual = _prescribed_dual(cfg, psi0, horizon, cadence=10**9)
     s = dual.series["s"]
     M = dual.series["linf"]
     rep.series["s"] = s
@@ -310,36 +332,16 @@ def verify_concentration(
     if r is None:
         r = 2.0**-4
     horizon = gamma * r
-    scenario = {
-        "suite": "concentration",
-        "d": grid.d,
-        "N": grid.N,
-        "velocity": cfg.velocity.kind,
-        "amplitude": cfg.velocity.amplitude,
-        "r": r,
-        "gamma": gamma,
-    }
-    rep = _report("concentration", scenario)
+    rep = _drift_report("concentration", cfg, r=r, gamma=gamma)
 
     report0 = check_class_membership(psi0, ClassParams(r=r, A=4.0))
-    x0 = np.array(report0.best_center)
-
-    run_cfg = replace(cfg, cadence=1)
-    history = VelocityHistory.prescribed(cfg.velocity, grid)
-    dual = run_dual(run_cfg, psi0, horizon=horizon, history=history)
-    dt = dual.config.dt
-    dual_hist = _reversed_history(history, horizon)
-    times, traj = track_center(x0, r, dual_hist, horizon, dt)
-
-    G = []
-    for state in dual.states:
-        i = int(round(state.s / dt))
-        G.append(omega_weighted_mass(state.phi, traj[i]))
+    history, dual = _prescribed_dual(cfg, psi0, horizon, cadence=1)
+    centers = _tracked_centers(history, dual, np.array(report0.best_center), r)
     s = np.array([st.s for st in dual.states])
-    G = np.array(G)
+    G = np.array([omega_weighted_mass(st.phi, c) for st, c in zip(dual.states, centers)])
     rep.series["s"] = s
     rep.series["G"] = G
-    rep.series["center"] = traj[[int(round(v / dt)) for v in s]]
+    rep.series["center"] = centers
 
     # least-squares rate against the predicted s * r^{-1/2} growth variable
     x = s * r**-0.5
@@ -351,17 +353,13 @@ def verify_concentration(
     bound = G[0] + max(C_hat, 0.0) * slack_factor * x + 1e-9
     rep.verdicts["linear_growth"] = _verdict(float(np.max(G - bound)), 0.0)
 
-    # BMO of the velocity snapshots (the drift-size parameter of the bound)
-    sample_times = [0.0, 0.5 * horizon, horizon]
-    stride = max(1, grid.N // 32)
-    B = [
-        max(bmo_norm(c, stride=stride) for c in dual_hist.velocity_at(ts).components)
-        for ts in sample_times
-    ]
+    # BMO of the velocity snapshots at dual times 0, horizon/2, horizon
+    # (the drift-size parameter of the bound)
+    B = [_velocity_bmo(history.velocity_at(horizon - ts)) for ts in (0.0, 0.5 * horizon, horizon)]
     rep.series["bmo_u"] = B
     rep.fitted["B"] = float(max(B))
     radii = default_bmo_radii(grid)[:2]
-    osc = _l2_oscillation_ratio(dual_hist.velocity_at(0.0), radii, stride=max(stride, grid.N // 8))
+    osc = _l2_oscillation_ratio(history.velocity_at(horizon), radii, stride=max(1, grid.N // 8))
     c2 = osc / max(max(B), 1e-300)
     rep.fitted["c2_split"] = float(c2)
     if max(B) > 1e-12:
@@ -403,8 +401,7 @@ def verify_l1_decay(
     if reference not in ("class", "single_mode"):
         raise ValueError(f"unknown reference {reference!r}")
     if cfg is None:
-        grid = GridSpec(d=1, N=1024)
-        cfg = SimConfig(grid=grid)
+        cfg = SimConfig(grid=GridSpec(d=1, N=1024))
     grid = cfg.grid
     if reference == "single_mode":
         if psi0 is None:
@@ -427,28 +424,12 @@ def verify_l1_decay(
 
     if not psi0.is_mean_zero():
         raise ValueError("L1 decay verification requires mean-zero data")
-    report0 = check_class_membership(psi0, ClassParams(r=r, A=4.0))
-    if not report0.member:
-        raise ValueError(
-            f"initial field is not a scale-{r} class member: {report0.summary()}"
-        )
-
-    scenario = {
-        "suite": "l1_decay",
-        "d": grid.d,
-        "N": grid.N,
-        "velocity": cfg.velocity.kind,
-        "amplitude": cfg.velocity.amplitude,
-        "r": r,
-        "horizon": horizon,
-        "reference": reference,
-    }
-    rep = _report("l1_decay", scenario)
+    report0 = _class_member(psi0, r, 4.0)
+    rep = _drift_report("l1_decay", cfg, r=r, horizon=horizon, reference=reference)
 
     # the single-mode reference reads only the series: keep no snapshot
-    run_cfg = replace(cfg, cadence=1 if reference == "class" else 10**9)
-    history = VelocityHistory.prescribed(cfg.velocity, grid)
-    dual = run_dual(run_cfg, psi0, horizon=horizon, history=history)
+    cadence = 1 if reference == "class" else 10**9
+    history, dual = _prescribed_dual(cfg, psi0, horizon, cadence)
     s = dual.series["s"]
     l1 = dual.series["l1"]
     rep.series["s"] = s
@@ -463,16 +444,8 @@ def verify_l1_decay(
         rep.verdicts["closed_form"] = _verdict(float(np.max(np.abs(l1 - exact))), 1e-4)
         return rep
 
-    dt = dual.config.dt
-    dual_hist = _reversed_history(history, horizon)
-    x0 = np.array(report0.best_center)
-    times, traj = track_center(x0, r, dual_hist, horizon, dt)
-    conc = np.array(
-        [
-            omega_weighted_mass(st.phi, traj[int(round(st.s / dt))])
-            for st in dual.states
-        ]
-    )
+    centers = _tracked_centers(history, dual, np.array(report0.best_center), r)
+    conc = np.array([omega_weighted_mass(st.phi, c) for st, c in zip(dual.states, centers)])
     rep.series["concentration"] = conc
 
     window = np.nonzero((l1 >= 0.9) & (conc <= 1.1 * math.sqrt(r)))[0]
@@ -493,8 +466,9 @@ def verify_l1_decay(
     if loc > 0.5:
         rep.notes.append(f"localization radius 400r = {loc:.3g} exceeds the torus; using all of it")
     worst = math.inf
-    for st in dual.states[:iw:max(1, iw // 8)]:
-        plus, minus = _sign_mass_split(st.phi, traj[int(round(st.s / dt))], loc)
+    every = slice(None, iw, max(1, iw // 8))
+    for st, c in zip(dual.states[every], centers[every]):
+        plus, minus = _sign_mass_split(st.phi, c, loc)
         worst = min(worst, plus, minus)
     rep.fitted["sign_mass_min"] = worst
     rep.verdicts["sign_mass"] = _verdict(worst, 0.3 - 0.05, relation=">=")
@@ -528,23 +502,8 @@ def verify_class_evolution(
     if horizon is None:
         horizon = 0.5 * r
 
-    report0 = check_class_membership(psi0, ClassParams(r=r, A=A))
-    if not report0.member:
-        raise ValueError(
-            f"initial field is not a scale-{r} class member: {report0.summary()}"
-        )
-
-    scenario = {
-        "suite": "class_evolution",
-        "d": grid.d,
-        "N": grid.N,
-        "velocity": cfg.velocity.kind,
-        "amplitude": cfg.velocity.amplitude,
-        "r": r,
-        "A": A,
-        "horizon": horizon,
-    }
-    rep = _report("class_evolution", scenario)
+    _class_member(psi0, r, A)
+    rep = _drift_report("class_evolution", cfg, r=r, A=A, horizon=horizon)
 
     K_trials = [m * r / horizon for m in (1, 2, 4, 8, 16)]
     history = VelocityHistory.prescribed(cfg.velocity, grid)
@@ -589,11 +548,7 @@ def verify_class_evolution(
     rep.verdicts["exponent_positive"] = _verdict(trial_slope[best_K], 0.0, relation=">")
     if capped:
         rep.notes.append("dilation capped at radius 1; later samples audited against the unit class")
-    stride = max(1, grid.N // 32)
-    B = max(
-        bmo_norm(c, stride=stride)
-        for c in history.velocity_at(horizon).components
-    )
+    B = _velocity_bmo(history.velocity_at(horizon))
     rep.fitted["B"] = float(B)
     d = grid.d
     delta, K = rep.fitted["delta"], rep.fitted["K"]
@@ -613,28 +568,6 @@ def verify_class_evolution(
 # ---------------------------------------------------------------------------
 # Holder bound
 
-def near_delta_bump(grid: GridSpec, width: float) -> ScalarField:
-    """L1-normalized approximate identity: the width-scale dissipation
-    semigroup applied to the unit Dirac comb mode; positive, mean one."""
-    if width <= 0:
-        raise ValueError("width must be positive")
-    return to_physical(SpectralField(grid, np.exp(-TWO_PI * width * grid.mode_radius())))
-
-
-def _holder_direct_subsampled(f: ScalarField, beta: float) -> float:
-    """Direct Holder seminorm, decimating the grid when the full pair
-    enumeration would exceed the guard (a lower bound of the full value)."""
-    grid = f.grid
-    stride = 1
-    while (grid.size // stride**grid.d) ** 2 > PAIR_GUARD:
-        stride *= 2
-    if stride == 1:
-        return holder_seminorm_direct(f, beta)
-    sub = GridSpec(d=grid.d, N=grid.N // stride)
-    idx = tuple([slice(None, None, stride)] * grid.d)
-    return holder_seminorm_direct(ScalarField(sub, f.values[idx]), beta)
-
-
 def verify_holder_bound(
     cfg: SimConfig | None = None,
     theta0: ScalarField | None = None,
@@ -652,11 +585,9 @@ def verify_holder_bound(
         if rough:
             # d=2: on the unit torus the low-mode decay cuts off the
             # self-similar window sooner in d=1
-            grid = GridSpec(d=2, N=256)
-            cfg = SimConfig(grid=grid, dt=2e-3, cadence=50)
+            cfg = SimConfig(grid=GridSpec(d=2, N=256), dt=2e-3, cadence=50)
         else:
-            grid = GridSpec(d=2, N=128)
-            cfg = SimConfig(grid=grid, kind="sqg", cadence=100)
+            cfg = SimConfig(grid=GridSpec(d=2, N=128), kind="sqg", cadence=100)
     grid = cfg.grid
     if theta0 is None:
         if rough:
@@ -685,10 +616,7 @@ def verify_holder_bound(
     rep.series["linf"] = [norms(st.theta).linf for st in states]
     rep.series["l1"] = [norms(st.theta).l1 for st in states]
 
-    stride = max(1, grid.N // 32)
-    B = [
-        max(bmo_norm(c, stride=stride) for c in st.u.components) for st in states
-    ]
+    B = [_velocity_bmo(st.u) for st in states]
     rep.series["bmo_u"] = B
 
     betas = []
@@ -707,7 +635,7 @@ def verify_holder_bound(
         beta_star = min(max(0.5 * min(finite), 0.05), 0.45)
     rep.fitted["beta_star"] = float(beta_star)
 
-    H = np.array([_holder_direct_subsampled(st.theta, beta_star) for st in states])
+    H = np.array([holder_seminorm_decimated(st.theta, beta_star) for st in states])
     rep.series["H"] = H
 
     if rough:

@@ -85,6 +85,7 @@ def test_02_zero_velocity_exact_semigroup():
 
 def test_03_duality_agreement_and_order():
     rep = verify_duality()
+    assert rep.digest == "e9ffedd0ab9a1a33"  # the bundled scenario
     d = max(rep.series["discrepancy"])
     ratio = min(rep.series["halving_ratio"])
     _check(3, "forward/dual pairing agreement", rep.passed(),
@@ -93,6 +94,7 @@ def test_03_duality_agreement_and_order():
 
 def test_04_invariants_on_bundled_scenarios():
     rep = verify_invariants()
+    assert rep.digest == "4aebc1174443e473"  # the bundled scenario
     bad = [k for k, v in rep.verdicts.items() if v["passed"] is False]
     _check(4, "max principle and mean conservation", rep.passed(),
            "all scenarios" if not bad else "failing: " + ", ".join(bad))
@@ -118,6 +120,7 @@ def test_05_dual_l1_contraction():
         res = run_dual(cfg, psi, horizon=0.05, history=hist)
         worst = max(worst, float(np.max(np.diff(res.series["l1"]))))
     closed = verify_l1_decay(reference="single_mode")
+    assert closed.digest == "4fc76bdad8ffee2b"  # the bundled l1_single_mode scenario
     err = closed.verdicts["closed_form"]["value"]
     ok = worst <= 1e-6 and closed.verdicts["closed_form"]["passed"]
     _check(5, "dual L1 contraction + single-mode closed form", ok,
@@ -149,6 +152,7 @@ def test_07_test_function_family():
 
 def test_08_class_evolution_under_shear():
     rep = verify_class_evolution()
+    assert rep.digest == "b25dad8e935046b5"  # the bundled scenario
     ok = (rep.verdicts["membership"]["passed"]
           and rep.verdicts["exponent_positive"]["passed"])
     a_max = rep.verdicts["membership"]["value"]
@@ -183,6 +187,7 @@ def test_09_sqg_runs():
 
 def test_10_self_similar_scaling_window():
     rep = verify_holder_bound(rough=True)
+    assert rep.digest == "0049bfd8f10f07c0"  # the bundled smoothing scenario
     spread = rep.verdicts["scaling_window"]["value"]
     _check(10, "near-delta height follows the scaling exponent",
            rep.verdicts["scaling_window"]["passed"] is True,

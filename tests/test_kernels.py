@@ -14,9 +14,8 @@ from hypothesis import given, settings, strategies as st
 import kernel_reference
 from driftlab import _kernels
 from driftlab.grids import GridSpec
-from driftlab.operators import random_band_limited
+from driftlab.operators import near_delta_bump, random_band_limited
 from driftlab.spaces import default_bmo_radii
-from driftlab.verification import near_delta_bump
 
 
 def _rand(shape, seed):

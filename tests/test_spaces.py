@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import kernel_reference
 from driftlab.grids import GridSpec, ScalarField
-from driftlab.operators import inner, norms, random_band_limited
+from driftlab.operators import inner, near_delta_bump, norms, random_band_limited
 from driftlab.spaces import (
     ClassParams,
     OMEGA_PLATEAU,
@@ -20,7 +20,6 @@ from driftlab.spaces import (
     holder_from_lp,
     holder_seminorm_direct,
     lp_bands,
-    lp_projection,
     make_test_function,
     max_band_level,
     omega_weight,
@@ -29,7 +28,6 @@ from driftlab.spaces import (
     shifted_pairings,
     smooth_cutoff,
 )
-from driftlab.verification import near_delta_bump
 
 TWO_PI = 2 * np.pi
 
@@ -176,7 +174,7 @@ class TestLittlewoodPaley:
         g = GridSpec(d=1, N=64)
         assert max_band_level(g) == 5
         with pytest.raises(ValueError):
-            lp_projection(random_band_limited(g, band=4, seed=0), 6)
+            lp_bands(random_band_limited(g, band=4, seed=0), 6, 6)
 
     def test_single_mode_lands_in_band(self):
         g = GridSpec(d=1, N=128)

@@ -7,15 +7,18 @@ import pytest
 import kernel_reference
 from driftlab import _kernels
 from driftlab.grids import GridSpec, ScalarField, VelocityField
-from driftlab.operators import norms, random_band_limited
+from driftlab.operators import near_delta_bump, norms, random_band_limited
 from driftlab.evolution import SimConfig, VelocitySpec
-from driftlab.spaces import default_bmo_radii, make_test_function
+from driftlab.spaces import (
+    default_bmo_radii,
+    holder_seminorm_decimated,
+    holder_seminorm_direct,
+    make_test_function,
+)
 from driftlab.verification import (
     SUITE_REGISTRY,
-    _holder_direct_subsampled,
     _l2_oscillation_ratio,
     _verdict,
-    near_delta_bump,
     run_suite,
     scenario_digest,
     verify_class_evolution,
@@ -26,7 +29,6 @@ from driftlab.verification import (
     verify_l1_decay,
     verify_linfty_decay,
 )
-from driftlab.spaces import holder_seminorm_direct
 
 TWO_PI = 2 * np.pi
 
@@ -121,6 +123,11 @@ class TestDuality:
 
 
 class TestLinftyDecay:
+    def test_default_scenario(self):
+        rep = verify_linfty_decay()
+        assert rep.passed()
+        assert rep.digest == "af103e6a291ab7a4"
+
     def test_zero_velocity(self):
         rep = verify_linfty_decay(cfg=SimConfig(grid=GridSpec(d=1, N=512)), horizon=0.03)
         assert rep.passed()
@@ -147,6 +154,7 @@ class TestConcentration:
         rep = verify_concentration()
         assert rep.passed()
         assert "B" in rep.fitted
+        assert rep.digest == "66b2a9c1684c231a"
 
     def test_constant_velocity_rides_the_flow(self):
         # the dual profile under constant drift is the translated zero-drift
@@ -226,6 +234,7 @@ class TestL1Decay:
         rep = verify_l1_decay()
         assert rep.passed()
         assert rep.fitted["c"] > 0
+        assert rep.digest == "ea292ffd5bdd19ff"
 
     def test_single_mode_closed_form(self):
         rep = verify_l1_decay(reference="single_mode", cfg=SimConfig(grid=GridSpec(d=1, N=256)))
@@ -294,7 +303,7 @@ class TestHolderBound:
     def test_subsampled_holder_matches_direct_when_small(self):
         g = GridSpec(d=1, N=128)
         f = random_band_limited(g, 8, seed=6)
-        assert _holder_direct_subsampled(f, 0.3) == holder_seminorm_direct(f, 0.3)
+        assert holder_seminorm_decimated(f, 0.3) == holder_seminorm_direct(f, 0.3)
 
     def test_near_delta_bump(self):
         g = GridSpec(d=1, N=512)
