@@ -7,7 +7,10 @@
   most of the torus is summed over its complement.
 * ``singular_kernel_apply``: the lattice sum of the direct (singular-integral)
   fractional Laplacian, as one real-FFT correlation.
-* ``holder_pair_max``: the Holder quotient maximized over all grid pairs.
+* ``holder_pair_max``: the Holder quotient maximized over all grid pairs,
+  one offset of each pair {z, -z} at a time, nearest first; the scan
+  stops once the field's oscillation times the next offset's weight
+  cannot beat the best quotient found, which leaves the float unchanged.
 
 The element-by-element loop versions of these kernels are kept in
 ``tests/kernel_reference.py`` as test references.
@@ -123,9 +126,17 @@ def holder_pair_max(values: np.ndarray, beta: float) -> float:
 
     Visits one offset z of each pair {z, -z mod N}: the max over x of
     |f(x) - f(x+z)| is the same for z and -z, and so is dist(0, z).  A
-    1-d field is one row.  Each row offset rolls the rows once; every
-    column offset is then a slice of that rolled copy extended by its
-    first columns.
+    1-d field is one row.  Each row offset rolls the rows once, the first
+    time one of its offsets is visited; every column offset is then a
+    slice of that rolled copy extended by its first columns.
+
+    The offsets are visited nearest first (weight dist^-beta descending,
+    ties in row-major order), and the scan stops at the first offset
+    whose weight w has osc * w <= best, osc = max f - min f: rounding is
+    monotone, so every difference of that offset or a farther one has
+    |fl(f(x) - f(y))| <= fl(osc) and a quotient fl(m * w) <= fl(osc * w)
+    that cannot beat best.  A max does not depend on the order of its
+    terms, so the result is the float of the full scan.
     """
     f = np.asarray(values, dtype=np.float64)
     N = f.shape[0]
@@ -134,14 +145,25 @@ def holder_pair_max(values: np.ndarray, beta: float) -> float:
     rows = f.reshape(-1, N)
     dist_pow = dist_pow.reshape(rows.shape)
     n_rows = rows.shape[0]
+    # row offsets 0..n_rows/2; rows 0 and n_rows/2 are their own partners:
+    # half their columns do.  Flat index 0 is z = 0.
+    row, col = np.divmod(np.arange(rows.size), N)
+    own = (row == 0) | (2 * row == n_rows)
+    visit = np.flatnonzero((row <= n_rows // 2) & ~(own & (col > N // 2)))[1:]
+    visit = visit[np.argsort(-dist_pow.flat[visit], kind="stable")]
+    osc = f.max() - f.min()
+    exts = {}
     best = 0.0
-    for zi in range(n_rows // 2 + 1):
-        shifted = np.roll(rows, -zi, axis=0)
-        # rows 0 and n_rows/2 are their own partners: half their columns do
-        n_cols = N // 2 + 1 if zi == 0 or 2 * zi == n_rows else N
-        ext = np.concatenate((shifted, shifted[:, : n_cols - 1]), axis=1)
-        for zj in range(1 if zi == 0 else 0, n_cols):
-            q = np.abs(rows - ext[:, zj : zj + N]).max() * dist_pow[zi, zj]
-            if q > best:
-                best = q
+    for k in visit.tolist():
+        w = dist_pow.flat[k]
+        if osc * w <= best:
+            break
+        zi, zj = divmod(k, N)
+        ext = exts.get(zi)
+        if ext is None:
+            shifted = np.roll(rows, -zi, axis=0)
+            ext = exts[zi] = np.concatenate((shifted, shifted[:, :-1]), axis=1)
+        q = np.abs(rows - ext[:, zj : zj + N]).max() * w
+        if q > best:
+            best = q
     return float(best)

@@ -160,6 +160,9 @@ def cmd_diagnose(args) -> int:
                 f"diagnose.norms: unknown norm {name!r}; "
                 f"valid: {', '.join(DIAGNOSE_NORMS)}"
             )
+    beta = plan.diagnose["beta"]
+    if "holder" in plan.diagnose["norms"] and not 0.0 < beta < 0.5:
+        raise ConfigError(f"diagnose.beta: must be in (0, 1/2), got {beta}")
     f = fieldio.load_field(plan.diagnose["field"])
 
     from .spaces import ClassParams, bmo_norm, check_class_membership
@@ -181,7 +184,6 @@ def cmd_diagnose(args) -> int:
             fit = holder_from_lp(f)
             record["lp"] = {"beta": fit.beta, "levels": list(fit.levels)}
         elif name == "holder":
-            beta = plan.diagnose["beta"]
             record["holder"] = {
                 "beta": beta,
                 "seminorm": holder_seminorm_decimated(f, beta),

@@ -153,22 +153,31 @@ def _bump(t: np.ndarray) -> np.ndarray:
 
 _BUMP_TOTAL = float(np.sum(_GL_WEIGHTS * _bump(_GL_NODES)))
 
+# bridge radii per Gauss-Legendre evaluation: bounds its (radii x nodes)
+# temporaries at 256 x 96 floats
+_BRIDGE_CHUNK = 256
+
 
 def smooth_cutoff(xi) -> np.ndarray:
     """eta: 1 on |xi|<=1, 0 on |xi|>=2, C-infinity bridge in between.
 
     The bridge is the normalized tail integral of the standard bump
-    exp(1 - 1/(1-t^2)) on (-1, 1), with t = 2(|xi|-1) - 1.
+    exp(1 - 1/(1-t^2)) on (-1, 1), with t = 2(|xi|-1) - 1.  It is
+    evaluated _BRIDGE_CHUNK radii at a time; each radius is its own row
+    sum, so the chunking does not change a bit.
     """
     a = np.abs(np.asarray(xi, dtype=float))
     out = np.where(a <= 1.0, 1.0, 0.0)
     bridge = (a > 1.0) & (a < 2.0)
     if np.any(bridge):
         t = 2.0 * (a[bridge] - 1.0) - 1.0
-        # integral of the bump over (t, 1), Gauss-Legendre on the mapped interval
-        half = (1.0 - t) / 2.0
-        s = half[:, None] * (_GL_NODES[None, :] + 1.0) + t[:, None]
-        vals = np.sum(_GL_WEIGHTS[None, :] * _bump(s), axis=1) * half
+        vals = np.empty_like(t)
+        for lo in range(0, t.size, _BRIDGE_CHUNK):
+            tc = t[lo : lo + _BRIDGE_CHUNK]
+            # integral of the bump over (t, 1), Gauss-Legendre on the mapped interval
+            half = (1.0 - tc) / 2.0
+            s = half[:, None] * (_GL_NODES[None, :] + 1.0) + tc[:, None]
+            vals[lo : lo + _BRIDGE_CHUNK] = np.sum(_GL_WEIGHTS[None, :] * _bump(s), axis=1) * half
         out[bridge] = vals / _BUMP_TOTAL
     return out
 

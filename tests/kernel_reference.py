@@ -1,6 +1,7 @@
 """Frozen diagnostic kernels: the BMO ball scans, the L2 oscillation ratio,
 the Holder pair max and the Littlewood-Paley band fit as they were before
 the FFT ball means, the offset-pair halving and the one-transform bands;
+the smooth cutoff as it was before its bridge was evaluated in chunks;
 the windowed BMO kernel as it was before the per-offset sums and the
 complement of large balls; and the element-by-element loops of the
 singular lattice sum and the Holder pair max.
@@ -219,6 +220,37 @@ def holder_2d_numpy(f, dist_pow):
             if q > best:
                 best = q
     return float(best)
+
+
+# ---------------------------------------------------------------------------
+# smooth cutoff: the bridge evaluated at every bridge radius in one
+# (radii x nodes) Gauss-Legendre array
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
+
+
+def _bump(t):
+    out = np.zeros_like(t)
+    interior = np.abs(t) < 1.0
+    ti = t[interior]
+    out[interior] = np.exp(1.0 - 1.0 / (1.0 - ti**2))
+    return out
+
+
+_BUMP_TOTAL = float(np.sum(_GL_WEIGHTS * _bump(_GL_NODES)))
+
+
+def smooth_cutoff_oneshot(xi):
+    a = np.abs(np.asarray(xi, dtype=float))
+    out = np.where(a <= 1.0, 1.0, 0.0)
+    bridge = (a > 1.0) & (a < 2.0)
+    if np.any(bridge):
+        t = 2.0 * (a[bridge] - 1.0) - 1.0
+        half = (1.0 - t) / 2.0
+        s = half[:, None] * (_GL_NODES[None, :] + 1.0) + t[:, None]
+        vals = np.sum(_GL_WEIGHTS[None, :] * _bump(s), axis=1) * half
+        out[bridge] = vals / _BUMP_TOTAL
+    return out
 
 
 # ---------------------------------------------------------------------------

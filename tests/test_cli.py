@@ -344,6 +344,19 @@ class TestDiagnoseCommand:
         assert cli.main(["diagnose", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
         assert "bmo" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("beta", ["0.7", "0", "nan"])
+    def test_holder_beta_checked_before_any_norm(self, tmp_path, capsys, beta):
+        fieldio.save_field(ScalarField.constant(GridSpec(d=1, N=8), 0.0), tmp_path / "c.tf")
+        cfg = _write_cfg(
+            tmp_path,
+            f"diagnose.field = {tmp_path}/c.tf\ndiagnose.norms = bmo,holder\n"
+            f"diagnose.beta = {beta}\n",
+        )
+        out = tmp_path / "d"
+        assert cli.main(["diagnose", "--config", cfg, "--out", str(out)]) == 2
+        assert "diagnose.beta" in capsys.readouterr().err
+        assert not (out / "diagnose.json").exists()
+
 
 class TestVerifyCommand:
     def test_single_suite(self, tmp_path, capsys):

@@ -176,20 +176,75 @@ def test_holder_backends_agree_2d():
 # one low mode: for beta = 0.1 the max quotient sits at the offset N/2 along
 # the mode's axis, an offset that is its own partner -z
 _COS8 = np.cos(2 * np.pi * np.arange(8) / 8)
+_COS16 = np.cos(2 * np.pi * np.arange(16) / 16)
+# the 64 x 64 decimation of an N = 128 near-delta bump, as the holder
+# diagnostic measures it
+_BUMP64 = near_delta_bump(GridSpec(d=2, N=128), width=0.02).values[::2, ::2]
 
 
 @pytest.mark.parametrize(
     "v",
     [_rand(s, 11) for s in [(47,), (48,), (64,), (9, 9), (12, 12), (16, 16)]]
     + [_COS8, np.outer(_COS8, np.ones(8)), np.outer(np.ones(8), _COS8)]
-    + [_rand(1024, 12), _rand((64, 64), 13)],
+    + [_rand(1024, 12), _rand((64, 64), 13)]
+    + [np.full((16, 16), 2.5), _BUMP64, np.outer(_COS16, np.ones(16))],
 )
 def test_holder_pair_halving_exact(v):
-    # visiting one offset of each pair {z, -z} gives the very same float
+    # visiting one offset of each pair {z, -z}, nearest first and only while
+    # a farther offset can still win, gives the very same float
     loop = kernel_reference.holder_1d_numpy if v.ndim == 1 else kernel_reference.holder_2d_numpy
-    for beta in (0.1, 0.3, 0.45):
+    for beta in (0.05, 0.1, 0.3, 0.45):
         expected = loop(v, _holder_dist_pow(v.shape, beta))
         assert _kernels.holder_pair_max(v, beta) == expected
+
+
+def test_holder_pair_constant_visits_nothing(monkeypatch):
+    # osc = 0 stops the scan before the first offset: no row is ever rolled
+    def no_roll(*args, **kwargs):
+        raise AssertionError("an offset was visited")
+
+    monkeypatch.setattr(np, "roll", no_roll)
+    for v in (np.full(64, -3.0), np.full((16, 16), 2.5)):
+        assert _kernels.holder_pair_max(v, 0.3) == 0.0
+
+
+def test_holder_pair_max_at_the_last_offset_visited():
+    # one low mode at beta = 0.05: the max quotient sits at the offset
+    # (N/2, 0), at distance 1/2, and the stop rule prunes every farther one
+    v = np.outer(_COS16, np.ones(16))
+    w = _holder_dist_pow(v.shape, 0.05)
+    q = np.array(
+        [[np.abs(v - np.roll(v, (-i, -j), axis=(0, 1))).max() * w[i, j] for j in range(16)]
+         for i in range(16)]
+    )
+    best = q.max()
+    assert q[8, 0] == best
+    assert np.all((v.max() - v.min()) * w[w < w[8, 0]] <= best)
+    assert _kernels.holder_pair_max(v, 0.05) == best
+
+
+@given(
+    st.integers(0, 1000),
+    st.sampled_from([(16,), (47,), (64,), (5, 5), (8, 8), (13, 13)]),
+    st.floats(0.01, 0.49),
+    st.sampled_from(["noise", "smooth", "spike"]),
+)
+def test_holder_pair_max_equals_full_scan(seed, shape, beta, kind):
+    # the pruned scan against every offset visited: the same float
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if kind == "noise":
+        v = rng.standard_normal(shape)
+    elif kind == "smooth":
+        x = np.arange(shape[0]) / shape[0]
+        k = rng.integers(1, 3, size=2)
+        v = np.cos(2 * np.pi * k[0] * x + rng.uniform(0, 2 * np.pi))
+        if len(shape) == 2:
+            v = np.add.outer(v, np.sin(2 * np.pi * k[1] * x))
+    else:
+        v = np.zeros(shape)
+        v[tuple(rng.integers(0, shape[0], size=len(shape)))] = rng.uniform(-5, 5)
+    loop = kernel_reference.holder_1d_numpy if v.ndim == 1 else kernel_reference.holder_2d_numpy
+    assert _kernels.holder_pair_max(v, beta) == loop(v, _holder_dist_pow(shape, beta))
 
 
 def test_ball_offsets_counts():

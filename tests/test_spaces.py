@@ -164,6 +164,19 @@ class TestLittlewoodPaley:
         assert 1.0 - smooth_cutoff(1.01) < 1e-6
         assert smooth_cutoff(1.99) < 1e-6
 
+    def test_cutoff_chunks_keep_every_bit(self):
+        # the N = 256 distinct mode radii put up to 3159 radii in the bridge
+        # at one level, many chunks' worth
+        g = GridSpec(d=2, N=256)
+        radii = np.unique(g.mode_radius())
+        for level in range(9):
+            xi = radii / 2.0**level
+            assert smooth_cutoff(xi).tobytes() == kernel_reference.smooth_cutoff_oneshot(xi).tobytes()
+        for xi in (GridSpec(d=2, N=64).mode_radius() / 16.0, np.float64(1.01), 1.5):
+            got, ref = smooth_cutoff(xi), kernel_reference.smooth_cutoff_oneshot(xi)
+            assert got.shape == ref.shape == np.shape(xi)
+            assert got.tobytes() == ref.tobytes()
+
     def test_bands_telescope_to_identity(self):
         g = GridSpec(d=1, N=128)
         f = random_band_limited(g, band=30, seed=8)
