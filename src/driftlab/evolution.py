@@ -327,12 +327,14 @@ def _check_cfl(grid: GridSpec, dt: float, umax: float, step: int, t: float):
         raise CFLAbort(step, t, dt, admissible)
 
 
-def _finite_field(step: int, t: float, build, grid: GridSpec, data: np.ndarray) -> ScalarField:
-    """``build(grid, data)``, a ScalarField constructor on new values or
-    coefficients; raises NumericalAbort if any value is not finite."""
+def _finite_field(step: int, t: float, build, *args):
+    """``build(*args)``: a ScalarField constructor on new values or
+    coefficients, the realisation of a field's values, or the SQG velocity
+    of a field, whose values it realises; raises NumericalAbort if any
+    value or coefficient is not finite."""
     try:
-        return build(grid, data)
-    except ValueError:  # the values have the grid's shape: they are not finite
+        return build(*args)
+    except ValueError:  # the arrays have the grid's shape: they are not finite
         raise NumericalAbort(step, t) from None
 
 
@@ -346,9 +348,12 @@ def step_forward(
     time-modulated drift needs its history.  The step starts from
     ``state.u``.  Reading the history makes no transform.
 
-    An SQG step keeps the coefficients of its midpoint and end fields, so
-    it makes 12 transforms: 3 for each advection tendency, 1 for each of
-    the two fields and 2 for each of their velocities.
+    An SQG step keeps the coefficients of its midpoint and end fields and
+    checks them, and the values of their velocities, so it makes 10
+    transforms: 3 for each advection tendency and 2 for each of the two
+    velocities.  The midpoint field's values are never computed; the end
+    field computes its values on their first read (one more transform),
+    which ``run_forward`` makes only for the states it stores.
     """
     sqg = cfg.kind == "sqg"
     if velocity is None and not sqg and cfg.velocity.omega != 0.0:
@@ -366,12 +371,14 @@ def step_forward(
         ch = plan.step(ch, _u_phys(state.u), _u_phys(drift(state.t + 0.5 * dt)))
         theta_new = _finite_field(step, t, ScalarField.adopt, grid, plan.inverse(ch))
         return EvolutionState(t=t, theta=theta_new, u=drift(t), step=step)
-    # the corrector reads the midpoint coefficients: its field keeps a copy
+    # the corrector reads the midpoint coefficients: their field keeps a
+    # copy, which is freed once its velocity is built
     mid = plan.predictor(ch, _u_phys(state.u))
-    umid = sqg_velocity(_finite_field(step, t, ScalarField.from_half_spectrum, grid, mid))
+    umid = _finite_field(step, t, lambda: sqg_velocity(ScalarField.from_half_spectrum(grid, mid)))
     ch = plan.corrector(ch, mid, _u_phys(umid))
     theta_new = _finite_field(step, t, ScalarField.adopt_half_spectrum, grid, ch)
-    return EvolutionState(t=t, theta=theta_new, u=sqg_velocity(theta_new), step=step)
+    u_new = _finite_field(step, t, sqg_velocity, theta_new)
+    return EvolutionState(t=t, theta=theta_new, u=u_new, step=step)
 
 
 @dataclass
@@ -445,9 +452,11 @@ def run_forward(cfg: SimConfig, theta0: ScalarField) -> RunResult:
             hist_times.append(state.t)
             hist_samples.append(_u_phys(state.u))
         if state.step % cfg.cadence == 0 or state.step == nsteps:
-            # a snapshot keeps its values only, not an SQG step's coefficients
-            states.append(replace(state, theta=state.theta.without_coefficients()))
-            diags.append(_diag_row(state, cfg))
+            # a snapshot keeps its values only, not an SQG step's
+            # coefficients; computing them checks them
+            theta = _finite_field(state.step, state.t, state.theta.without_coefficients)
+            states.append(replace(state, theta=theta))
+            diags.append(_diag_row(states[-1], cfg))
     if store_history:
         history = VelocityHistory.from_samples(grid, hist_times, hist_samples)
     elif history is None:

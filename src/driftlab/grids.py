@@ -100,8 +100,10 @@ class ScalarField:
 
     The values are immutable: a writable array of the caller's is copied,
     so changing it later cannot change the field.  A field built by
-    ``from_half_spectrum`` also keeps its half-spectrum coefficients, so
-    that spectral operators on it need no forward transform.
+    ``from_half_spectrum`` or ``adopt_half_spectrum`` keeps only its
+    half-spectrum coefficients, so that spectral operators on it need no
+    forward transform; it computes its values on the first read of
+    ``values``, once, and keeps them.
     """
 
     grid: GridSpec
@@ -119,6 +121,15 @@ class ScalarField:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: the values of a
+        # field of kept coefficients before their first read
+        if name != "values" or self._half is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        values = ScalarField.adopt(self.grid, half_spectrum(self.grid).inverse(self._half)).values
+        object.__setattr__(self, "values", values)
+        return values
+
     @classmethod
     def adopt(cls, grid: GridSpec, values: np.ndarray) -> "ScalarField":
         """Field on a new array that the caller hands over and no longer
@@ -129,18 +140,22 @@ class ScalarField:
     @classmethod
     def from_half_spectrum(cls, grid: GridSpec, ch: np.ndarray) -> "ScalarField":
         """Field of half-spectrum coefficients, which it keeps, as a copy,
-        in the form that ``irfftn`` realises (``HalfSpectrum.make_hermitian``)."""
+        in the form that ``irfftn`` realises (``HalfSpectrum.make_hermitian``);
+        its values are computed on their first read."""
         return cls.adopt_half_spectrum(grid, np.array(ch, dtype=complex))
 
     @classmethod
     def adopt_half_spectrum(cls, grid: GridSpec, ch: np.ndarray) -> "ScalarField":
         """``from_half_spectrum`` on a new complex array that the caller
         hands over and no longer reads or writes: its self-conjugate columns
-        are made Hermitian in place, and it is kept without a copy."""
-        spec = half_spectrum(grid)
-        spec.make_hermitian(ch)
-        f = cls.adopt(grid, spec.inverse(ch))
+        are made Hermitian in place, and it is kept without a copy.  The
+        coefficients are checked here, the values on their first read."""
+        half_spectrum(grid).make_hermitian(ch)
+        if not np.all(np.isfinite(ch)):
+            raise ValueError("field coefficients must be finite")
         ch.setflags(write=False)
+        f = cls.__new__(cls)
+        object.__setattr__(f, "grid", grid)
         object.__setattr__(f, "_half", ch)
         return f
 
@@ -152,10 +167,12 @@ class ScalarField:
         return half_spectrum(self.grid).forward(self.values)
 
     def without_coefficients(self) -> "ScalarField":
-        """The same values, without kept coefficients."""
+        """The same values, computed now if not yet read, without kept
+        coefficients."""
         if self._half is None:
             return self
         f = copy.copy(self)
+        object.__setattr__(f, "values", self.values)
         object.__setattr__(f, "_half", None)
         return f
 
@@ -285,11 +302,17 @@ class HalfSpectrum:
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Half-spectrum coefficients c_n of real grid values (to_spectral's
-        normalization)."""
+        normalization).  At d = 1 ``rfft`` gives ``rfftn``'s bits without
+        its n-d argument handling."""
+        if self.grid.d == 1:
+            return np.fft.rfft(values, norm="forward")
         return np.fft.rfftn(values, norm="forward")
 
     def inverse(self, coefficients: np.ndarray) -> np.ndarray:
-        """Real grid values of half-spectrum coefficients."""
+        """Real grid values of half-spectrum coefficients (``irfft`` at d = 1,
+        as in ``forward``)."""
+        if self.grid.d == 1:
+            return np.fft.irfft(coefficients, n=self.grid.N, norm="forward")
         return np.fft.irfftn(coefficients, s=self.grid.shape, axes=self.axes, norm="forward")
 
 

@@ -85,7 +85,7 @@ def bmo_norm(f: ScalarField, radii=None, stride: int = 1) -> float:
 
     A lower bound of the continuum supremum by construction: centers are
     the grid nodes 0, stride, 2*stride, ... along each axis, radii default
-    to the dyadic ladder.
+    to the dyadic ladder.  A constant field gives 0.0 without ball sums.
     """
     if radii is None:
         radii = default_bmo_radii(f.grid)
@@ -96,8 +96,9 @@ def bmo_norm(f: ScalarField, radii=None, stride: int = 1) -> float:
         if not 0.0 < rho <= 0.5:
             raise ValueError(f"radii must lie in (0, 1/2], got {rho}")
     best = 0.0
-    for rho in radii:
-        best = max(best, _kernels.bmo_oscillation(f.values, rho, stride=stride))
+    if f.values.max() > f.values.min():  # a constant field oscillates nowhere
+        for rho in radii:
+            best = max(best, _kernels.bmo_oscillation(f.values, rho, stride=stride))
     _emit("bmo_norm", f, {"value": best, "radii": radii, "stride": stride})
     return best
 

@@ -207,6 +207,23 @@ class TestSimulateCommand:
         assert code == 3
         assert "at step 1 " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "stage, value",
+        [("predictor", np.nan), ("corrector", np.nan), ("corrector", 1e308)],
+        ids=["predictor_nan", "corrector_nan", "corrector_overflow"],
+    )
+    def test_a_poisoned_sqg_stage_exits_3(self, stage, value, tmp_path, capsys, poison_stage):
+        poison_stage(stage, 3, value)
+        cfg = _write_cfg(
+            tmp_path,
+            "grid.d = 2\ngrid.N = 32\ntime.dt = 1e-3\ntime.T = 0.01\n"
+            "equation.kind = sqg\ninitial.band = 4\noutput.cadence = 2\n",
+        )
+        with np.errstate(all="ignore"):
+            code = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert "at step 3 " in capsys.readouterr().err
+
     def test_sqg_history_not_kept(self, tmp_path, monkeypatch):
         # the run's velocity history would need 11 * 2 * 32^2 * 8 bytes
         monkeypatch.setattr(evolution, "HISTORY_MEMORY_CAP", 1024)

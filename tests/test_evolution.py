@@ -146,6 +146,30 @@ class TestStepping:
             run_dual(SimConfig(grid=g, dt=1e-3), phi, horizon=0.01, history=history)
         assert exc.value.step == 1
 
+    @pytest.mark.parametrize("stage", ["predictor", "corrector"])
+    @pytest.mark.parametrize("value", [np.nan, 1e308], ids=["nan", "overflow"])
+    def test_a_poisoned_sqg_stage_aborts_at_its_step(self, stage, value, poison_stage):
+        # the midpoint theta's values are never computed and the end theta's
+        # only when stored: their coefficients are checked, and the values
+        # of their velocities, which overflow from a finite 1e308 at (0, 1)
+        g = GridSpec(d=2, N=32)
+        poison_stage(stage, 4, value)
+        cfg = SimConfig(grid=g, kind="sqg", dt=1e-3, t_end=0.01, cadence=5)
+        with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as exc:
+            run_forward(cfg, random_band_limited(g, 4, seed=0))
+        assert exc.value.step == 4
+        assert exc.value.t == pytest.approx(4e-3)
+
+    def test_a_stored_sqg_theta_that_overflows_aborts_at_its_step(self, poison_stage):
+        # 1e308 at mode (1, 1): theta's values overflow (2e308 at x = 0),
+        # its velocity's do not (2e308 / sqrt(2)); step 5 is stored
+        g = GridSpec(d=2, N=32)
+        poison_stage("corrector", 5, 1e308, (1, 1))
+        cfg = SimConfig(grid=g, kind="sqg", dt=1e-3, t_end=0.01, cadence=5)
+        with np.errstate(all="ignore"), pytest.raises(NumericalAbort) as exc:
+            run_forward(cfg, random_band_limited(g, 4, seed=0))
+        assert exc.value.step == 5
+
     def test_zero_velocity_on_the_blowup_datum_is_pure_dissipation(self):
         # no advection term is formed, so nothing overflows: each forward
         # step is one exact semigroup step, and the dual run applies E ten times

@@ -122,6 +122,48 @@ class TestScalarField:
         assert f.values.tobytes() == copied.values.tobytes()
         assert ch.tobytes() == copied.half_coefficients().tobytes()
 
+    def test_values_of_coefficients_are_computed_once_on_first_read(self, monkeypatch):
+        g = GridSpec(d=2, N=8)
+        ch = half_spectrum(g).forward(_random_field(g, 4).values)
+        want = half_spectrum(g).inverse(ch.copy())
+        calls = []
+        irfftn = np.fft.irfftn
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return irfftn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfftn", counted)
+        f = ScalarField.from_half_spectrum(g, ch)
+        assert calls == []
+        v = f.values
+        assert len(calls) == 1 and v.tobytes() == want.tobytes()
+        assert f.values is v and not v.flags.writeable
+        plain = f.without_coefficients()
+        assert len(calls) == 1 and plain.values is v
+        assert plain.without_coefficients() is plain
+        lazy = ScalarField.from_half_spectrum(g, ch)
+        assert lazy.without_coefficients().values.tobytes() == want.tobytes()
+        assert len(calls) == 2
+
+    def test_coefficients_are_checked_when_kept_and_values_when_computed(self):
+        g = GridSpec(d=2, N=8)
+        ch = np.zeros(half_spectrum(g).shape, dtype=complex)
+        ch[1, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            ScalarField.from_half_spectrum(g, ch)
+        # finite coefficients whose values overflow: the node x = 0 sums
+        # c_(0,1) and its mirror, 2 Re c_(0,1) = 2e308
+        ch[1, 1] = 0.0
+        ch[0, 1] = 1e308
+        f = ScalarField.from_half_spectrum(g, ch)
+        assert f.half_coefficients()[0, 1] == 1e308
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                f.values
+            with pytest.raises(ValueError, match="finite"):
+                f.without_coefficients()
+
     def test_read_only_values_are_shared(self):
         f = _random_field(GridSpec(d=2, N=8), 2)
         assert np.shares_memory(ScalarField(f.grid, f.values).values, f.values)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import kernel_reference
+from driftlab import _kernels
 from driftlab.grids import GridSpec, ScalarField
 from driftlab.operators import inner, near_delta_bump, norms, random_band_limited
 from driftlab.spaces import (
@@ -90,6 +91,26 @@ class TestBMO:
 
     def test_constant_is_zero(self):
         assert bmo_norm(ScalarField.constant(GridSpec(d=2, N=16), 4.0)) == 0.0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_constant_makes_no_ball_sums(self, d, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("ball sums of a constant field")
+
+        monkeypatch.setattr(_kernels, "ball_deviation", unexpected)
+        records = []
+        set_diagnostics_sink(records.append)
+        try:
+            for value in (0.0, -0.0, 4.0, -1e300):
+                f = ScalarField.constant(GridSpec(d=d, N=16), value)
+                got = bmo_norm(f, stride=2)
+                assert got == 0.0 and math.copysign(1.0, got) == 1.0
+                for bad in ([0.7], [], [0.25, 0.0]):
+                    with pytest.raises(ValueError, match="radii"):
+                        bmo_norm(f, radii=bad)
+        finally:
+            set_diagnostics_sink(None)
+        assert [json.loads(r)["value"] for r in records] == [0.0] * 4
 
     @given(st.integers(0, 500))
     def test_shift_and_scale_invariance(self, seed):

@@ -6,10 +6,15 @@ divergence checked, once per run; none of these may change a single bit
 of a final field, signed zeros included.  An SQG step carries
 its half-spectrum coefficients, in the library and in the reference alike,
 and the reference keeps its own frozen SQG velocity; test_spectral_plan.py
-gates SQG fields against the full-spectrum reference too.  The transform
-counts, the one build and one divergence check per run and the one
-velocity norm per run are checked here too.
+gates SQG fields against the full-spectrum reference too.  An SQG field
+computes its values on their first read, so a step makes 10 transforms
+and a run one more per stored state; every stored state of an SQG run is
+compared with the reference, not only the last.  The transform counts,
+the one build and one divergence check per run and the one velocity norm
+per run are checked here too.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -96,9 +101,10 @@ def test_dual_is_bit_identical(grid, velocity):
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Counts np.fft.rfftn and np.fft.irfftn calls."""
+    """Counts np.fft real-to-complex calls: rfft and irfft (d = 1), rfftn
+    and irfftn (d = 2)."""
     calls = []
-    for name in ("rfftn", "irfftn"):
+    for name in ("rfft", "irfft", "rfftn", "irfftn"):
         func = getattr(np.fft, name)
 
         def counted(*args, _func=func, **kwargs):
@@ -154,9 +160,9 @@ def test_shear_step_keeps_its_eight_transforms(fft_calls):
     assert len(fft_calls) == 8
 
 
-def test_sqg_step_makes_twelve_transforms(fft_calls):
-    # 3 per advection tendency, 1 for each of the midpoint and end fields,
-    # 2 for each of their velocities; no forward transform of theta
+def test_sqg_step_makes_ten_transforms(fft_calls):
+    # 3 per advection tendency, 2 for each of the midpoint and end
+    # velocities; no forward transform of theta, and neither field's values
     cfg = SimConfig(grid=G2, kind="sqg", dt=1e-3)
     theta = random_band_limited(G2, band=4, seed=0)
     state = EvolutionState(t=0.0, theta=theta, u=evolution.sqg_velocity(theta), step=0)
@@ -164,7 +170,36 @@ def test_sqg_step_makes_twelve_transforms(fft_calls):
     fft_calls.clear()
     for _ in range(3):
         state = step_forward(state, cfg)
-    assert len(fft_calls) == 3 * 12
+    assert len(fft_calls) == 3 * 10
+    # the end theta's values: one inverse transform on the first read, kept
+    fft_calls.clear()
+    values = state.theta.values
+    assert len(fft_calls) == 1
+    assert state.theta.values is values
+    assert len(fft_calls) == 1
+
+
+def test_sqg_run_transforms_its_stored_states_only(fft_calls):
+    # start-up: theta0 keeps no coefficients, so its velocity transforms it
+    # once per Riesz component (2 + 2 inverse) and the first step once more
+    # (1); then 10 per step and 1 per stored state
+    cfg = SimConfig(grid=G2, kind="sqg", dt=1e-3, t_end=0.02, cadence=6)
+    theta0 = random_band_limited(G2, band=4, seed=0)
+    run_forward(cfg, theta0)  # builds the plan
+    fft_calls.clear()
+    result = run_forward(cfg, theta0)
+    assert [s.step for s in result.states] == [0, 6, 12, 18, 20]
+    assert len(fft_calls) == 5 + 10 * 20 + 4
+
+
+def test_every_stored_sqg_state_is_bit_identical():
+    cfg = SimConfig(grid=G2, kind="sqg", dt=2e-3, t_end=0.12, cadence=7)
+    theta0 = random_band_limited(G2, band=6, seed=23)
+    states = run_forward(cfg, theta0).states
+    assert [s.step for s in states] == list(range(0, 60, 7)) + [60]
+    for s in states:
+        want = ref.run_forward(replace(cfg, t_end=s.step * cfg.dt), theta0.values)
+        assert _same_bits(s.theta.values, want), s.step
 
 
 def test_modulated_step_makes_eight_transforms(fft_calls):
