@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .grids import (
     GridSpec,
     ScalarField,
-    SpectralField,
     VelocityField,
     periodic_distance,
     to_physical,
@@ -14,7 +13,6 @@ from .grids import (
 from .operators import (
     NormRecord,
     advect,
-    fractional_laplacian_direct,
     fractional_laplacian_spectral,
     gradient,
     inner,
@@ -60,11 +58,9 @@ __all__ = [
     "run_suite",
     "GridSpec",
     "ScalarField",
-    "SpectralField",
     "VelocityField",
     "NormRecord",
     "advect",
-    "fractional_laplacian_direct",
     "fractional_laplacian_spectral",
     "gradient",
     "inner",

@@ -5,15 +5,16 @@
   suite.  The means are one FFT correlation; the deviations are summed one
   ball offset at a time over all sampled centers, and a ball that covers
   most of the torus is summed over its complement.
-* ``singular_kernel_apply``: the lattice sum of the direct (singular-integral)
-  fractional Laplacian, as one real-FFT correlation.
 * ``holder_pair_max``: the Holder quotient maximized over all grid pairs,
   one offset of each pair {z, -z} at a time, nearest first; the scan
   stops once the field's oscillation times the next offset's weight
   cannot beat the best quotient found, which leaves the float unchanged.
 
 The element-by-element loop versions of these kernels are kept in
-``tests/kernel_reference.py`` as test references.
+``tests/kernel_reference.py`` as test references.  The direct
+(singular-integral) half-Laplacian, an oracle that only tests use, lives
+in ``tests/direct_oracle.py`` and applies its lattice sum with
+``periodic_correlation``.
 """
 
 from __future__ import annotations
@@ -100,21 +101,6 @@ def bmo_oscillation(values: np.ndarray, radius: float, stride: int = 1) -> float
     f = np.asarray(values, dtype=np.float64)
     offsets = ball_offsets(f.ndim, f.shape[0], radius)
     return float(ball_deviation(f, offsets, stride, np.abs).max())
-
-
-# ---------------------------------------------------------------------------
-# direct (singular-integral) fractional Laplacian application
-
-
-def singular_kernel_apply(values: np.ndarray, K: np.ndarray, cellvol: float) -> np.ndarray:
-    """cellvol * sum_z K[z] * (f[x] - f[x+z]) at every node x.
-
-    K is a periodized lattice kernel indexed by grid offsets (K[0] and
-    excluded offsets are 0); the sum over z is one circular correlation.
-    """
-    f = np.asarray(values, dtype=np.float64)
-    K = np.asarray(K, dtype=np.float64)
-    return cellvol * (K.sum() * f - periodic_correlation(f, K))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import sys
 from pathlib import Path
@@ -236,6 +235,10 @@ def cmd_verify(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     reports = []
     if args.jobs > 1 and len(names) > 1:
+        # imported here: it loads logging and threading, which no other
+        # command needs
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             for name, report in pool.map(_run_one_suite, names):
                 reports.append((name, report))

@@ -66,11 +66,6 @@ class GridSpec:
             return (n,)
         return tuple(np.meshgrid(n, n, indexing="ij"))
 
-    def mode_radius(self) -> np.ndarray:
-        """|n| over the spectral grid."""
-        ns = self.modes()
-        return np.sqrt(sum(nj**2 for nj in ns))
-
     def distance2(self, point) -> np.ndarray:
         """Squared periodic distance from every node to ``point``, which
         need not be a node."""
@@ -217,33 +212,21 @@ class ScalarField:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralField:
-    """Fourier coefficients c_n indexed by integer wave vectors.
+def to_spectral(f: ScalarField) -> np.ndarray:
+    """Full-spectrum coefficients c_n of f on complex ``fftn``, normalized
+    by c_n = N^{-d} sum_x f(x) exp(-2*pi*i*n.x), so a constant field has
+    c_0 equal to its value.
 
-    Normalization: c_n = N^{-d} sum_x f(x) exp(-2*pi*i*n.x), so a constant
-    field has c_0 equal to its value.
+    With ``to_physical`` this is the library's one complex transform pair,
+    kept for ``operators.random_band_limited``, whose frozen algorithm it
+    carries; every other spectral operation runs on ``half_spectrum``.
     """
-
-    grid: GridSpec
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=complex).reshape(self.grid.shape)
-        if not np.all(np.isfinite(c)):
-            raise ValueError("spectral coefficients must be finite")
-        c = np.ascontiguousarray(c)
-        c.setflags(write=False)
-        object.__setattr__(self, "coefficients", c)
+    return np.fft.fftn(f.values, norm="forward")
 
 
-def to_spectral(f: ScalarField) -> SpectralField:
-    return SpectralField(f.grid, np.fft.fftn(f.values, norm="forward"))
-
-
-def to_physical(fh: SpectralField) -> ScalarField:
-    vals = np.fft.ifftn(fh.coefficients, norm="forward")
-    return ScalarField(fh.grid, vals.real)
+def to_physical(grid: GridSpec, coefficients: np.ndarray) -> ScalarField:
+    """The real part of the inverse of ``to_spectral``, as a field."""
+    return ScalarField(grid, np.fft.ifftn(coefficients, norm="forward").real)
 
 
 class HalfSpectrum:

@@ -7,11 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .grids import (
     GridSpec,
     ScalarField,
-    SpectralField,
     VelocityField,
     _check_same_grid,
     half_spectrum,
@@ -161,114 +159,6 @@ def advect(u: VelocityField, f: ScalarField) -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# direct singular-integral route for (-Laplace)^{1/2}
-
-DEFAULT_CELL_RADIUS = {1: 100, 2: 20}
-
-_calibration_cache: dict = {}
-
-
-def _lattice_kernel(grid: GridSpec, eps: float, cell_radius: int):
-    """Periodized kernel K[z] = sum_n |z*h - n|^{-(d+1)} with offsets inside
-    eps excluded, plus the second-moment tensor of the excluded regular cells
-    (used for the principal-value core correction)."""
-    N, d = grid.N, grid.d
-    h = grid.h
-    delta = np.arange(N) * h
-    per1 = np.minimum(delta, 1.0 - delta)
-    shifts = np.arange(-cell_radius, cell_radius + 1)
-    if d == 1:
-        dm = delta[:, None] - shifts[None, :]
-        with np.errstate(divide="ignore"):
-            K = np.sum(np.where(dm != 0, np.abs(dm), 1.0) ** -2.0, axis=1)
-        excl = per1 < eps - 1e-15
-        K[excl] = 0.0
-        # each regular excluded cell contributes exactly h to int y^2/|y|^2
-        M = np.array([[(int(excl.sum()) - 1) * h]])
-        return K, M
-    di = delta[:, None, None, None] - shifts[None, None, :, None]
-    dj = delta[None, :, None, None] - shifts[None, None, None, :]
-    r2 = di**2 + dj**2
-    with np.errstate(divide="ignore"):
-        K = np.sum(np.where(r2 > 0, r2, 1.0) ** -1.5, axis=(2, 3))
-    per = np.sqrt(per1[:, None] ** 2 + per1[None, :] ** 2)
-    excl = per < eps - 1e-15
-    K[excl] = 0.0
-    # second moments int_cell y_i y_j / |y|^3 over excluded off-center cells
-    M = np.zeros((2, 2))
-    sub = (np.arange(16) + 0.5) / 16.0 - 0.5
-    si, sj = np.meshgrid(sub, sub, indexing="ij")
-    zi, zj = np.nonzero(excl)
-    for a, b in zip(zi, zj):
-        if a == 0 and b == 0:
-            continue
-        da = (a * h if a <= N // 2 else (a - N) * h) + si * h
-        db = (b * h if b <= N // 2 else (b - N) * h) + sj * h
-        r3 = (da**2 + db**2) ** 1.5
-        w = (h / 16.0) ** 2
-        M[0, 0] += np.sum(da * da / r3) * w
-        M[0, 1] += np.sum(da * db / r3) * w
-        M[1, 1] += np.sum(db * db / r3) * w
-    M[1, 0] = M[0, 1]
-    return K, M
-
-
-def _core_correction(f: ScalarField, M: np.ndarray) -> np.ndarray:
-    """-(1/2) sum_ij M_ij d_i d_j f, with centered finite differences."""
-    h = f.grid.h
-    v = f.values
-    if f.grid.d == 1:
-        d2 = (np.roll(v, -1) + np.roll(v, 1) - 2 * v) / h**2
-        return -0.5 * M[0, 0] * d2
-    d11 = (np.roll(v, -1, axis=0) + np.roll(v, 1, axis=0) - 2 * v) / h**2
-    d22 = (np.roll(v, -1, axis=1) + np.roll(v, 1, axis=1) - 2 * v) / h**2
-    d12 = (
-        np.roll(v, (-1, -1), axis=(0, 1))
-        - np.roll(v, (-1, 1), axis=(0, 1))
-        - np.roll(v, (1, -1), axis=(0, 1))
-        + np.roll(v, (1, 1), axis=(0, 1))
-    ) / (4 * h**2)
-    return -0.5 * (M[0, 0] * d11 + 2 * M[0, 1] * d12 + M[1, 1] * d22)
-
-
-def _raw_apply(f: ScalarField, K: np.ndarray, M: np.ndarray) -> np.ndarray:
-    out = _kernels.singular_kernel_apply(f.values, K, f.grid.cell_volume)
-    return out + _core_correction(f, M)
-
-
-def fractional_laplacian_direct(
-    f: ScalarField,
-    eps: float,
-    cell_radius: int | None = None,
-) -> ScalarField:
-    """Principal-value lattice-sum quadrature for (-Laplace)^{1/2}.
-
-    Serves as an independent oracle for ``fractional_laplacian_spectral``.
-    The lattice kernel is applied by one FFT correlation; the kernel itself
-    is the real-space lattice sum, not the spectral multiplier.  The overall
-    constant is calibrated once per (d, N, eps, cell_radius) by matching the
-    operator on cos(2*pi*x1) against the multiplier 2*pi.
-    """
-    grid = f.grid
-    if cell_radius is None:
-        cell_radius = DEFAULT_CELL_RADIUS[grid.d]
-    if cell_radius < 1:
-        raise ValueError("cell_radius must be >= 1")
-    if eps < grid.h - 1e-15:
-        raise ValueError(f"eps={eps} is below the grid spacing {grid.h}")
-    K, M = _lattice_kernel(grid, eps, cell_radius)
-    key = (grid.d, grid.N, round(eps * grid.N * 16), cell_radius)
-    if key not in _calibration_cache:
-        x1 = grid.coords()[0]
-        probe = ScalarField(grid, np.cos(TWO_PI * x1))
-        raw = _raw_apply(probe, K, M)
-        target = TWO_PI * probe.values
-        _calibration_cache[key] = float(np.sum(target * raw) / np.sum(raw * raw))
-    c = _calibration_cache[key]
-    return ScalarField.adopt(grid, c * _raw_apply(f, K, M))
-
-
-# ---------------------------------------------------------------------------
 # deterministic random fields
 
 def random_band_limited(
@@ -283,7 +173,10 @@ def random_band_limited(
     Algorithm (frozen for reproducibility): draw standard-normal grid
     noise from ``np.random.Generator(PCG64(seed))``, keep modes with
     |n_j| <= band on every axis, drop the mean mode when requested, and
-    rescale to the requested sup norm.
+    rescale to the requested sup norm.  It runs on the complex full
+    spectrum (``to_spectral``/``to_physical``): the half-spectrum form of
+    the same filter differs in the last bits, and every seeded scenario
+    starts from these.
     """
     if band < 1 or band > grid.N // 2 - 1:
         raise ValueError(f"band must be in [1, N/2-1], got {band}")
@@ -292,10 +185,10 @@ def random_band_limited(
     mask = np.ones(grid.shape, dtype=bool)
     for nj in grid.modes():
         mask &= np.abs(nj) <= band
-    ch = to_spectral(noise).coefficients * mask
+    ch = to_spectral(noise) * mask
     if mean_zero:
         ch.flat[0] = 0.0
-    vals = to_physical(SpectralField(grid, ch)).values
+    vals = to_physical(grid, ch).values
     peak = np.max(np.abs(vals))
     if peak > 0:
         vals = vals * (amplitude / peak)
@@ -307,4 +200,5 @@ def near_delta_bump(grid: GridSpec, width: float) -> ScalarField:
     semigroup applied to the unit Dirac comb mode; positive, mean one."""
     if width <= 0:
         raise ValueError("width must be positive")
-    return to_physical(SpectralField(grid, np.exp(-TWO_PI * width * grid.mode_radius())))
+    spec = half_spectrum(grid)
+    return ScalarField.adopt(grid, spec.inverse(np.exp(-TWO_PI * width * spec.radius)))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .grids import GridSpec, ScalarField, SpectralField, periodic_distance, to_physical, to_spectral
+from .grids import GridSpec, ScalarField, half_spectrum, periodic_distance
 from .operators import inner, norms
 
 MEAN_ZERO_FACTOR = 1e-8  # tolerance factor (times sup norm) for exact mean-zero conditions
@@ -184,13 +184,14 @@ def smooth_cutoff(xi) -> np.ndarray:
 
 
 def _band_multipliers(grid: GridSpec, j_min: int, j_max: int):
-    """Spectral multipliers of the bands j_min..j_max, in order.
+    """Half-spectrum multipliers of the bands j_min..j_max, in order.
 
-    Each cutoff level eta(|n| / 2^l) is evaluated once, at the grid's
-    distinct mode radii, and spread over the modes by index.
+    Each cutoff level eta(|n| / 2^l) is evaluated once, at the distinct
+    mode radii of the half spectrum, and spread over its modes by index.
     """
-    radii, inverse = np.unique(grid.mode_radius(), return_inverse=True)
-    inverse = inverse.reshape(grid.shape)
+    spec = half_spectrum(grid)
+    radii, inverse = np.unique(spec.radius, return_inverse=True)
+    inverse = inverse.reshape(spec.shape)
     lower = smooth_cutoff(radii / 2.0 ** (j_min - 1))
     for j in range(j_min, j_max + 1):
         upper = smooth_cutoff(radii / 2.0**j)
@@ -199,7 +200,7 @@ def _band_multipliers(grid: GridSpec, j_min: int, j_max: int):
 
 
 def band_multiplier(grid: GridSpec, j: int) -> np.ndarray:
-    """Spectral multiplier of the level-j band filter."""
+    """Half-spectrum multiplier of the level-j band filter."""
     return next(_band_multipliers(grid, j, j))
 
 
@@ -216,9 +217,10 @@ class LPBand:
 
 def _iter_bands(f: ScalarField, j_min: int, j_max: int):
     """Yield the bands j_min..j_max one at a time, from one transform of f."""
-    fh = to_spectral(f).coefficients
+    spec = half_spectrum(f.grid)
+    ch = spec.forward(f.values)
     for j, mult in zip(range(j_min, j_max + 1), _band_multipliers(f.grid, j_min, j_max)):
-        band = to_physical(SpectralField(f.grid, fh * mult))
+        band = ScalarField.adopt(f.grid, spec.inverse(ch * mult))
         yield LPBand(j=j, field=band, sup=float(np.max(np.abs(band.values))))
 
 
@@ -364,8 +366,7 @@ def make_test_function(j: int, grid: GridSpec, A: float = DEFAULT_CLASS_A) -> Te
     rescaled by the largest admissible constant."""
     if 2**j > grid.N // 8:
         raise ValueError(f"level {j} profile not resolved on N={grid.N} (need 2^j <= N/8)")
-    mult = band_multiplier(grid, j).astype(complex)
-    base = to_physical(SpectralField(grid, mult))
+    base = ScalarField.adopt(grid, half_spectrum(grid).inverse(band_multiplier(grid, j)))
     r = 2.0**-j
     base_report = check_class_membership(base, ClassParams(r=r, A=A))
     if base_report.minimal_scale is None or base_report.minimal_scale <= 0.0:

@@ -2,10 +2,14 @@
 forward, SQG and dual stepping as it was before the half-spectrum plan, and
 the operators and correlations as they were before they moved onto the
 half-spectrum core (``gradient``, ``fractional_laplacian_spectral``,
-``advect``, ``concentration_all_centers``, ``shifted_pairings``).
+``advect``, ``concentration_all_centers``, ``shifted_pairings``), and the
+fields built from a spectral multiplier as they were before it
+(``band_kernel``, ``near_delta_bump``).  ``mode_radius`` gives |n|
+over the full spectrum, and ``band_multiplier`` the Littlewood-Paley
+multipliers over it, also to tests/kernel_reference.py's band fit.
 
-Kept only as a numerical reference for tests/test_spectral_plan.py; the
-library does not use it.  Do not update it to follow library changes.
+Kept only as a numerical reference for the tests; the library does not
+use it.  Do not update it to follow library changes.
 """
 
 from __future__ import annotations
@@ -14,8 +18,14 @@ import numpy as np
 
 from driftlab.evolution import REVERSED_SIGN, VelocityHistory
 from driftlab.grids import GridSpec
+from driftlab.spaces import smooth_cutoff
 
 TWO_PI = 2.0 * np.pi
+
+
+def mode_radius(grid: GridSpec) -> np.ndarray:
+    """|n| over the full spectral grid."""
+    return np.sqrt(sum(nj**2 for nj in grid.modes()))
 
 
 def _dealias_mask(grid: GridSpec) -> np.ndarray:
@@ -35,7 +45,7 @@ class Stepper:
         self.grid = grid
         self.dt = dt
         self.adv_sign = adv_sign
-        lam = (TWO_PI * grid.mode_radius()) ** alpha
+        lam = (TWO_PI * mode_radius(grid)) ** alpha
         lam.flat[0] = 0.0
         self.E = np.exp(-lam * dt)
         self.E_half = np.exp(-lam * (0.5 * dt))
@@ -63,7 +73,7 @@ class Stepper:
 
 def riesz(values: np.ndarray, grid: GridSpec, j: int) -> np.ndarray:
     ns = grid.modes()
-    nr = grid.mode_radius()
+    nr = mode_radius(grid)
     with np.errstate(divide="ignore", invalid="ignore"):
         mult = np.where(nr > 0, -1j * ns[j - 1] / np.where(nr > 0, nr, 1.0), 0.0)
     ch = np.fft.fftn(values, norm="forward") * mult
@@ -130,7 +140,7 @@ def gradient(values: np.ndarray, grid: GridSpec) -> tuple:
 
 
 def fractional_laplacian(values: np.ndarray, grid: GridSpec, alpha: float) -> np.ndarray:
-    mult = (TWO_PI * grid.mode_radius()) ** alpha
+    mult = (TWO_PI * mode_radius(grid)) ** alpha
     mult.flat[0] = 0.0
     return np.fft.ifftn(np.fft.fftn(values, norm="forward") * mult, norm="forward").real
 
@@ -162,3 +172,22 @@ def shifted_pairings(f: np.ndarray, phi: np.ndarray) -> np.ndarray:
     fh = np.fft.fftn(f, norm="forward")
     ph = np.fft.fftn(phi, norm="forward")
     return np.fft.ifftn(fh * np.conj(ph), norm="forward").real
+
+
+# ---------------------------------------------------------------------------
+# fields of a spectral multiplier, on arrays
+
+
+def band_multiplier(grid: GridSpec, j: int) -> np.ndarray:
+    """Level-j Littlewood-Paley multiplier over the full spectrum."""
+    nr = mode_radius(grid)
+    return smooth_cutoff(nr / 2.0**j) - smooth_cutoff(nr / 2.0 ** (j - 1))
+
+
+def band_kernel(grid: GridSpec, j: int) -> np.ndarray:
+    """The level-j band kernel that ``make_test_function`` rescales."""
+    return np.fft.ifftn(band_multiplier(grid, j).astype(complex), norm="forward").real
+
+
+def near_delta_bump(grid: GridSpec, width: float) -> np.ndarray:
+    return np.fft.ifftn(np.exp(-TWO_PI * width * mode_radius(grid)), norm="forward").real

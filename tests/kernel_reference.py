@@ -19,8 +19,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from driftlab._kernels import periodic_correlation
-from driftlab.grids import SpectralField, to_physical, to_spectral
-from driftlab.spaces import max_band_level, smooth_cutoff
+from driftlab.spaces import max_band_level
+from fullspectrum_reference import band_multiplier
 
 # ---------------------------------------------------------------------------
 # BMO: every ball summed element by element
@@ -255,21 +255,16 @@ def smooth_cutoff_oneshot(xi):
 
 # ---------------------------------------------------------------------------
 # Littlewood-Paley fit: one transform of f and two cutoffs over all modes
-# per band
-
-
-def band_multiplier(grid, j: int) -> np.ndarray:
-    nr = grid.mode_radius()
-    return smooth_cutoff(nr / 2.0**j) - smooth_cutoff(nr / 2.0 ** (j - 1))
+# per band (``band_multiplier``, from fullspectrum_reference.py)
 
 
 def lp_sups(f) -> list:
     """Band sup norms at the levels 0..max_band_level."""
     sups = []
     for j in range(max_band_level(f.grid) + 1):
-        ch = to_spectral(f).coefficients * band_multiplier(f.grid, j)
-        band = to_physical(SpectralField(f.grid, ch))
-        sups.append(float(np.max(np.abs(band.values))))
+        ch = np.fft.fftn(f.values, norm="forward") * band_multiplier(f.grid, j)
+        band = np.fft.ifftn(ch, norm="forward").real
+        sups.append(float(np.max(np.abs(band))))
     return sups
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from driftlab import cli, evolution, fieldio
 from driftlab.config import ConfigError, build_initial_field, parse_config, parse_text
-from driftlab.grids import GridSpec, ScalarField, to_spectral
+from driftlab.grids import GridSpec, ScalarField
 from driftlab.operators import random_band_limited
 
 TWO_PI = 2 * np.pi

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import fullspectrum_reference
 import kernel_reference
+from fullspectrum_reference import mode_radius
 from driftlab import _kernels
 from driftlab.grids import GridSpec, ScalarField
 from driftlab.operators import inner, near_delta_bump, norms, random_band_limited
@@ -189,11 +191,11 @@ class TestLittlewoodPaley:
         # the N = 256 distinct mode radii put up to 3159 radii in the bridge
         # at one level, many chunks' worth
         g = GridSpec(d=2, N=256)
-        radii = np.unique(g.mode_radius())
+        radii = np.unique(mode_radius(g))
         for level in range(9):
             xi = radii / 2.0**level
             assert smooth_cutoff(xi).tobytes() == kernel_reference.smooth_cutoff_oneshot(xi).tobytes()
-        for xi in (GridSpec(d=2, N=64).mode_radius() / 16.0, np.float64(1.01), 1.5):
+        for xi in (mode_radius(GridSpec(d=2, N=64)) / 16.0, np.float64(1.01), 1.5):
             got, ref = smooth_cutoff(xi), kernel_reference.smooth_cutoff_oneshot(xi)
             assert got.shape == ref.shape == np.shape(xi)
             assert got.tobytes() == ref.tobytes()
@@ -227,8 +229,9 @@ class TestLittlewoodPaley:
         (2, 128, "random"), (2, 128, "delta"), (1, 1024, "random"), (2, 256, "random"),
     ])
     def test_holder_from_lp_matches_band_loop(self, d, N, kind):
-        # one transform and cutoffs at distinct radii give the per-band
-        # loop's sups bit for bit
+        # the half-spectrum bands give the per-band loop's levels exactly and
+        # its sups and beta at rounding level; their multipliers are the
+        # loop's, cut to the half spectrum, bit for bit
         g = GridSpec(d=d, N=N)
         if kind == "random":
             f = random_band_limited(g, band=8 if d == 2 else 16, seed=5)
@@ -236,9 +239,13 @@ class TestLittlewoodPaley:
             bump = near_delta_bump(g, width=0.02).values
             f = ScalarField(g, np.roll(bump, (17, 90), axis=(0, 1)))
         fit = holder_from_lp(f)
-        assert (fit.beta, fit.levels, fit.sups) == kernel_reference.holder_from_lp(f)
+        beta, levels, sups = kernel_reference.holder_from_lp(f)
+        assert fit.levels == levels
+        assert fit.sups == pytest.approx(sups, rel=1e-12, abs=0.0)
+        assert fit.beta == pytest.approx(beta, rel=1e-12, abs=0.0)
         for j in range(max_band_level(g) + 1):
-            assert np.array_equal(band_multiplier(g, j), kernel_reference.band_multiplier(g, j))
+            full = kernel_reference.band_multiplier(g, j)
+            assert np.array_equal(band_multiplier(g, j), full[..., : N // 2 + 1])
 
     def test_holder_from_lp_needs_usable_bands(self):
         g = GridSpec(d=1, N=64)
@@ -273,6 +280,13 @@ class TestClassMembership:
             tf = make_test_function(j, g)
             assert tf.report.member, f"level {j} not a member"
             assert tf.c > 0.5
+
+    @pytest.mark.parametrize("d,N,j", [(1, 256, 3), (1, 512, 0), (2, 64, 2), (2, 128, 4)])
+    def test_base_matches_full_spectrum_kernel(self, d, N, j):
+        g = GridSpec(d=d, N=N)
+        tf = make_test_function(j, g)
+        want = tf.c * fullspectrum_reference.band_kernel(g, j)
+        assert np.max(np.abs(tf.field.values - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_unresolved_level_rejected(self):
         with pytest.raises(ValueError, match="not resolved"):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import fullspectrum_reference
 import kernel_reference
 from driftlab import _kernels
 from driftlab.grids import GridSpec, ScalarField, VelocityField
@@ -174,8 +175,8 @@ class TestConcentration:
         dc = run_dual(cfgc, psi0, horizon=horizon, history=histc)
         (n,) = g.modes()
         shift = np.exp(-2j * np.pi * n * c * horizon)
-        expect = to_spectral(d0.states[-1].phi).coefficients * shift
-        got = to_spectral(dc.states[-1].phi).coefficients
+        expect = to_spectral(d0.states[-1].phi) * shift
+        got = to_spectral(dc.states[-1].phi)
         assert np.max(np.abs(got - expect)) < 1e-5
 
         rep0 = verify_concentration(psi0=psi0, cfg=cfg0, r=2.0**-4)
@@ -313,6 +314,15 @@ class TestHolderBound:
         assert np.all(f.values > 0)
         with pytest.raises(ValueError):
             near_delta_bump(g, 0.0)
+
+    @pytest.mark.parametrize(
+        "d,N,width", [(1, 512, 0.02), (1, 64, 0.05), (2, 128, 0.02), (2, 32, 0.05)]
+    )
+    def test_near_delta_bump_matches_full_spectrum(self, d, N, width):
+        g = GridSpec(d=d, N=N)
+        want = fullspectrum_reference.near_delta_bump(g, width)
+        got = near_delta_bump(g, width).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestInvariants:
