@@ -1,10 +1,13 @@
 """Hot numeric kernels, one numpy implementation each.
 
-* ``ball_deviation`` / ``bmo_oscillation``: the ball means and oscillations
-  behind the BMO norm and the L2 oscillation ratio of the concentration
-  suite.  The means are one FFT correlation; the deviations are summed one
-  ball offset at a time over all sampled centers, and a ball that covers
-  most of the torus is summed over its complement.
+* ``ball_deviation`` / ``ball_deviation_max``: the ball means and
+  oscillations behind the BMO norm and the L2 oscillation ratio of the
+  concentration suite.  The means are one FFT correlation; a ball's
+  deviations are gathered and summed offset by offset, and a ball that
+  covers most of the torus is summed over its complement.  The max over
+  radii and centers sums only the balls whose Cauchy-Schwarz bound (the
+  L2 oscillation, from one more correlation) can beat the best value
+  found, largest bound first, which leaves the float unchanged.
 * ``holder_pair_max``: the Holder quotient maximized over all grid pairs,
   one offset of each pair {z, -z} at a time, nearest first; the scan
   stops once the field's oscillation times the next offset's weight
@@ -36,12 +39,22 @@ def offset_distance(d: int, N: int) -> np.ndarray:
 
 def periodic_correlation(f: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_z w[z] f(x + z) at every node x, from one real-FFT product."""
-    spectrum = np.fft.rfftn(f) * np.conj(np.fft.rfftn(w))
-    return np.fft.irfftn(spectrum, s=f.shape, axes=tuple(range(f.ndim)))
+    return _correlate(np.fft.rfftn(f), np.conj(np.fft.rfftn(w)), f.shape)
+
+
+def _correlate(spectrum: np.ndarray, w_conj: np.ndarray, shape) -> np.ndarray:
+    """``periodic_correlation`` from the ``rfftn`` of f and the conjugate
+    ``rfftn`` of w, which callers that correlate one of them more than once
+    transform once."""
+    return np.fft.irfftn(spectrum * w_conj, s=shape, axes=tuple(range(len(shape))))
 
 
 # ---------------------------------------------------------------------------
 # ball means and oscillations at strided centers
+
+# center-offset terms gathered at once by ball_deviation, and the first
+# batch of ball_deviation_max
+_GATHER_ELEMENTS = 1 << 13
 
 
 def ball_offsets(d: int, N: int, radius: float):
@@ -50,57 +63,207 @@ def ball_offsets(d: int, N: int, radius: float):
     return tuple(idx.astype(np.int64) for idx in np.nonzero(mask))
 
 
-def ball_deviation(values: np.ndarray, offsets, stride: int, dev) -> np.ndarray:
+def _ball_indicator(shape, offsets) -> np.ndarray:
+    ball = np.zeros(shape)
+    ball[tuple(offsets)] = 1.0
+    return ball
+
+
+def _ball_means(spectrum: np.ndarray, ball_conj: np.ndarray, shape, m: int, stride: int):
+    """Ball means at the strided centers, from one correlation."""
+    last = (-(-shape[0] // stride) - 1) * stride
+    return _correlate(spectrum, ball_conj, shape)[(slice(0, last + 1, stride),) * len(shape)] / m
+
+
+def _sums_complement(dev, m: int, size: int) -> bool:
+    return dev is np.abs and 2 * m > size
+
+
+def ball_deviation(values: np.ndarray, offsets, stride: int, dev, centers=None, means=None):
     """Mean over the ball c + offsets of dev(f - mean_ball f), at the centers
-    c = stride * k, 0 <= k < ceil(N / stride) along each axis.
+    c = stride * k, 0 <= k < ceil(N / stride) along each axis, as an array
+    of that center grid; or, given ``centers`` (flat indices into the
+    center grid), at those centers only, as a 1-d array.
 
     ``offsets`` is one index array per axis, as from ``ball_offsets``;
     ``dev`` is a ufunc such as ``np.abs`` or ``np.square``.  The ball means
-    come from one real-FFT correlation with the ball indicator.  The
-    deviations are summed one ball offset at a time: each offset reads one
-    strided view of a periodically padded copy of f, which holds that
-    offset's value for every center.  For dev = |.| a ball that holds more
-    than half of the nodes is summed over its complement instead:
-    sum_x |f(x) - a| over the whole torus, for every center mean a, comes
-    from one sort of f and its prefix sums, and the complement's
-    deviations are subtracted from it.
+    come from one real-FFT correlation with the ball indicator, unless the
+    caller passes them (``means``, on the whole center grid, as computed
+    here).  Each center's deviations are summed one ball offset at a time,
+    in the order of ``offsets``: for every center at once from one strided
+    view per offset of a periodically padded copy of f, or, for given
+    centers, from a gathered table of their terms, summed along its rows
+    by ``accumulate``.  Either way a center's float depends only on f, the
+    ball and its mean.  For dev = |.| a ball that holds more than half of
+    the nodes is summed over its complement instead: sum_x |f(x) - a| over
+    the whole torus, for every center mean a, comes from one sort of f and
+    its prefix sums, and the complement's deviations are subtracted from
+    it.
     """
     # oscillations are shift invariant; centering makes a constant field
     # exactly zero through the transforms
     f = np.asarray(values, dtype=np.float64)
     f = f - f.flat[0]
-    d, N = f.ndim, f.shape[0]
     m = offsets[0].size
-    ball = np.zeros(f.shape)
-    ball[tuple(offsets)] = 1.0
-    last = (-(-N // stride) - 1) * stride
-    means = periodic_correlation(f, ball)[(slice(0, last + 1, stride),) * d] / m
-    total = np.zeros_like(means)
+    ball = _ball_indicator(f.shape, offsets)
+    if means is None:
+        means = _ball_means(np.fft.rfftn(f), np.conj(np.fft.rfftn(ball)), f.shape, m, stride)
+    a = means if centers is None else means.reshape(-1)[centers]
+    total = np.zeros_like(a)
     accumulate = np.add
-    if dev is np.abs and 2 * m > f.size:
+    if _sums_complement(dev, m, f.size):
         values_sorted = np.sort(f, axis=None)
         # extended-precision prefix sums: a float64 running sum of ~N^d
         # same-signed values loses ~1e-13 of the total
         prefix = np.concatenate(([0.0], np.cumsum(values_sorted, dtype=np.longdouble)))
-        below = np.searchsorted(values_sorted, means)
-        total = (prefix[-1] - 2.0 * prefix[below] + means * (2 * below - f.size)).astype(np.float64)
+        below = np.searchsorted(values_sorted, a)
+        total = (prefix[-1] - 2.0 * prefix[below] + a * (2 * below - f.size)).astype(np.float64)
         offsets = np.nonzero(ball == 0.0)
         accumulate = np.subtract
-    padded = np.pad(f, [(0, last)] * d, mode="wrap")
-    t = np.empty_like(means)
-    views = ([slice(o, o + last + 1, stride) for o in axis.tolist()] for axis in offsets)
-    for view in zip(*views):
-        np.subtract(padded[view], means, out=t)
-        accumulate(total, dev(t, out=t), out=total)
+    last = (means.shape[0] - 1) * stride
+    padded = np.pad(f, [(0, last)] * f.ndim, mode="wrap")
+    if centers is None:
+        t = np.empty_like(means)
+        views = ([slice(o, o + last + 1, stride) for o in axis.tolist()] for axis in offsets)
+        for view in zip(*views):
+            np.subtract(padded[view], means, out=t)
+            accumulate(total, dev(t, out=t), out=total)
+        return total / m
+    # flat indices into the padded copy: a center's node plus an offset
+    center_index = np.ravel_multi_index(np.unravel_index(centers, means.shape), padded.shape) * stride
+    offset_index = np.ravel_multi_index(offsets, padded.shape)
+    padded = padded.reshape(-1)
+    rows = max(1, _GATHER_ELEMENTS // max(1, offset_index.size))
+    for lo in range(0, a.size, rows):
+        part = slice(lo, lo + rows)
+        # column 0 holds the start of each running sum
+        terms = np.empty((center_index[part].size, offset_index.size + 1))
+        terms[:, 0] = total[part]
+        body = terms[:, 1:]
+        np.subtract(padded[center_index[part, None] + offset_index], a[part, None], out=body)
+        dev(body, out=body)
+        total[part] = accumulate.accumulate(terms, axis=1)[:, -1]
     return total / m
 
 
-def bmo_oscillation(values: np.ndarray, radius: float, stride: int = 1) -> float:
-    """Max over the ball centers 0, stride, 2*stride, ... < N (per axis) of
-    the mean oscillation at one radius."""
+# the bound's allowance for rounding on the scale max|f| = 1, before its
+# summation term (see ball_deviation_bounds)
+_BOUND_ETA = 1e-10
+
+
+def ball_deviation_bounds(values: np.ndarray, radii, stride: int, dev) -> list:
+    """Per radius, (m, means, bound): the ball size, the ball means at the
+    strided centers as ``ball_deviation`` computes them, and an upper
+    bound of its value at every center, for dev = np.abs or np.square.
+
+    With f centered as in ``ball_deviation``, M = max|f| and g = f / M,
+    the means a_c of f and the ball means of g^2 come from two
+    correlations per radius; the transforms of f and g^2 are made once.
+    Cauchy-Schwarz gives, at every center,
+
+        mean_B |f - a_c|  <=  sqrt(mean_B (f - a_c)^2)  <=  U_c,
+        U_c = M * sqrt(max(mean_B g^2 - (a_c / M)^2, 0) + eta),
+
+    and U_c^2 bounds mean_B (f - a_c)^2; the bound is U_c for |.| and U_c^2
+    for squares.  The exact mean_B (g - a_c/M)^2 is
+    mean_B g^2 - (a_c/M)^2 - 2 (a_c/M)(mean_B g - a_c/M), and
+    eta = 1e-10 + 8 n eps (n nodes) covers what rounding moves: the
+    correlations err by about eps log2(n) sqrt(n) on the scale |g| <= 1
+    (5e-12 at n = 2^20), and a summed value, a left-to-right sum of at
+    most n terms (or the complement's prefix-sum form), by at most 4 n eps
+    of that scale.  So a computed value never exceeds its computed bound.
+    That argument needs M (for |.|) or M^2 (for squares) in
+    [2^-900, 2^900 / n], where every term, sum and bound is a normal float
+    far from overflow; outside it, and for a field that is not finite,
+    every bound is +inf.
+    """
     f = np.asarray(values, dtype=np.float64)
-    offsets = ball_offsets(f.ndim, f.shape[0], radius)
-    return float(ball_deviation(f, offsets, stride, np.abs).max())
+    f = f - f.flat[0]
+    d, N = f.ndim, f.shape[0]
+    scale = float(np.max(np.abs(f)))
+    unit = scale if dev is np.abs else scale * scale
+    bounded = 2.0**-900 <= unit <= 2.0**900 / f.size
+    eta = _BOUND_ETA + 8 * f.size * np.finfo(float).eps
+    spectrum = np.fft.rfftn(f)
+    spectrum_sq = np.fft.rfftn(np.square(f / scale)) if bounded else None
+    out = []
+    for radius in radii:
+        offsets = ball_offsets(d, N, radius)
+        m = offsets[0].size
+        ball_conj = np.conj(np.fft.rfftn(_ball_indicator(f.shape, offsets)))
+        means = _ball_means(spectrum, ball_conj, f.shape, m, stride)
+        if bounded:
+            second = _ball_means(spectrum_sq, ball_conj, f.shape, m, stride)
+            excess = np.maximum(second - np.square(means / scale), 0.0) + eta
+            bound = scale * np.sqrt(excess) if dev is np.abs else unit * excess
+        else:
+            bound = np.full(means.shape, np.inf)
+        out.append((m, means, bound))
+    return out
+
+
+def ball_deviation_max(values: np.ndarray, radii, stride: int, dev) -> float:
+    """max over ``radii`` and the centers 0, stride, 2*stride, ... < N (per
+    axis) of ``ball_deviation`` with dev = np.abs or np.square, or 0.0 if
+    no value is positive: the float of the full scan, from the sums of
+    only the balls that can hold it.
+
+    The (radius, center) pairs are visited in decreasing order of their
+    ``ball_deviation_bounds``: the pair of the largest bound alone, then
+    batches of 2^13 center-offset terms, twice as many each time.  The
+    scan stops at the first pair whose bound is <= the best value found,
+    since no later pair can beat it.  A radius with more than a quarter of
+    its centers still able to win is summed at every center at once,
+    which costs less per term than gathering them.  A max does not depend
+    on the order of its terms, and each value is ``ball_deviation``'s with
+    the bound's means, so the result is the float of the full scan.  A
+    constant field gives 0.0 without ball sums.
+    """
+    if dev is not np.abs and dev is not np.square:
+        raise ValueError("dev must be np.abs or np.square")
+    f = np.asarray(values, dtype=np.float64)
+    f = f - f.flat[0]
+    radii = list(radii)
+    if not f.any() or not radii:  # every deviation of a constant field is +0.0
+        return 0.0
+    d, N = f.ndim, f.shape[0]
+    sizes, means, bounds = zip(*ball_deviation_bounds(f, radii, stride, dev))
+    n_centers = means[0].size
+    bounds = np.concatenate([b.reshape(-1) for b in bounds])
+    offsets = {}  # built for the radii that are summed
+    summed = np.zeros(len(radii), dtype=bool)  # at every center
+    best = 0.0
+
+    def visit(r, centers=None):
+        nonlocal best
+        if r not in offsets:
+            offsets[r] = ball_offsets(d, N, radii[r])
+        value = ball_deviation(f, offsets[r], stride, dev, centers=centers, means=means[r])
+        best = max(best, float(value.max()))
+
+    first = int(np.argmax(bounds))
+    visit(first // n_centers, np.array([first % n_centers]))
+    bounds[first] = -np.inf
+    pairs = np.flatnonzero(bounds > best)
+    pairs = pairs[np.argsort(-bounds[pairs], kind="stable")]
+    ranked = bounds[pairs]
+    radius_of = pairs // n_centers
+    work = np.array([f.size - m if _sums_complement(dev, m, f.size) else m for m in sizes])
+    before = np.cumsum(work[radius_of]) - work[radius_of]  # terms ahead of each pair
+    pos, budget = 0, _GATHER_ELEMENTS
+    while pos < pairs.size and ranked[pos] > best:
+        stop = pos + int(np.searchsorted(-ranked[pos:], -best))
+        live = np.bincount(radius_of[pos:stop], minlength=len(radii))
+        for r in np.flatnonzero(~summed & (4 * live > n_centers)).tolist():
+            visit(r)
+            summed[r] = True
+        end = min(stop, max(pos + 1, int(np.searchsorted(before, before[pos] + budget))))
+        batch = np.arange(pos, end)[~summed[radius_of[pos:end]]]
+        batch = batch[ranked[batch] > best]
+        for r in np.unique(radius_of[batch]).tolist():
+            visit(r, pairs[batch[radius_of[batch] == r]] % n_centers)
+        pos, budget = end, 2 * budget
+    return best
 
 
 # ---------------------------------------------------------------------------

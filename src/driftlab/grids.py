@@ -161,6 +161,18 @@ class ScalarField:
             return self._half
         return half_spectrum(self.grid).forward(self.values)
 
+    def with_coefficients(self) -> "ScalarField":
+        """The same values, keeping their forward transform, so that
+        ``half_coefficients`` returns that one array instead of making a
+        transform on each call."""
+        if self._half is not None:
+            return self
+        half = half_spectrum(self.grid).forward(self.values)
+        half.setflags(write=False)
+        f = copy.copy(self)
+        object.__setattr__(f, "_half", half)
+        return f
+
     def without_coefficients(self) -> "ScalarField":
         """The same values, computed now if not yet read, without kept
         coefficients."""
@@ -174,10 +186,6 @@ class ScalarField:
     @classmethod
     def constant(cls, grid: GridSpec, c: float) -> "ScalarField":
         return cls(grid, np.full(grid.shape, float(c)))
-
-    @classmethod
-    def from_function(cls, grid: GridSpec, func) -> "ScalarField":
-        return cls(grid, func(*grid.coords()))
 
     def mean(self) -> float:
         return float(self.values.mean())

@@ -86,6 +86,14 @@ def bmo_norm(f: ScalarField, radii=None, stride: int = 1) -> float:
     A lower bound of the continuum supremum by construction: centers are
     the grid nodes 0, stride, 2*stride, ... along each axis, radii default
     to the dyadic ladder.  A constant field gives 0.0 without ball sums.
+
+    One call of ``_kernels.ball_deviation_max`` sums only the balls whose
+    bound can beat the best value found.  A ball's mean oscillation is at
+    most its L2 oscillation M * sqrt(max(mean g^2 - (a/M)^2, 0) + eta),
+    M = max|f - f_0|, g = (f - f_0) / M, a the ball mean, which two FFT
+    correlations give at every center; eta = 1e-10 + 8 n eps (n nodes)
+    covers the rounding of the transforms and of the sums.  The float is
+    the one of the scan over every ball.
     """
     if radii is None:
         radii = default_bmo_radii(f.grid)
@@ -97,8 +105,7 @@ def bmo_norm(f: ScalarField, radii=None, stride: int = 1) -> float:
             raise ValueError(f"radii must lie in (0, 1/2], got {rho}")
     best = 0.0
     if f.values.max() > f.values.min():  # a constant field oscillates nowhere
-        for rho in radii:
-            best = max(best, _kernels.bmo_oscillation(f.values, rho, stride=stride))
+        best = _kernels.ball_deviation_max(f.values, radii, stride, np.abs)
     _emit("bmo_norm", f, {"value": best, "radii": radii, "stride": stride})
     return best
 

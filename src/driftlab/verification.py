@@ -302,15 +302,15 @@ def _l2_oscillation_ratio(u: VelocityField, radii, stride: int) -> float:
     """max over sampled balls of ||v - mean_B v||_{L2(B)} / |B|^{1/2}.
 
     |B|^{1/2}-normalized L2 oscillation; comparable to the BMO norm up to
-    a John-Nirenberg style constant on smooth fields.
+    a John-Nirenberg style constant on smooth fields.  One pruned
+    ``_kernels.ball_deviation_max`` per component gives the largest mean
+    square over all radii and centers, the float of the full scan; the
+    square root is monotone, so its root is the max of the roots.
     """
-    grid = u.grid
     worst = 0.0
     for comp in u.components:
-        for rho in radii:
-            offsets = _kernels.ball_offsets(grid.d, grid.N, rho)
-            msq = _kernels.ball_deviation(comp.values, offsets, stride, np.square)
-            worst = max(worst, float(np.sqrt(msq.max())))
+        msq = _kernels.ball_deviation_max(comp.values, radii, stride, np.square)
+        worst = max(worst, float(np.sqrt(msq)))
     return worst
 
 

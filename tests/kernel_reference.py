@@ -3,8 +3,10 @@ the Holder pair max and the Littlewood-Paley band fit as they were before
 the FFT ball means, the offset-pair halving and the one-transform bands;
 the smooth cutoff as it was before its bridge was evaluated in chunks;
 the windowed BMO kernel as it was before the per-offset sums and the
-complement of large balls; and the element-by-element loops of the
-singular lattice sum and the Holder pair max.
+complement of large balls; the per-offset kernel as it was before the
+gathered sums and the pruned max, with its scan over every radius and
+center; and the element-by-element loops of the singular lattice sum and
+the Holder pair max.
 
 Kept only as numerical references for tests/test_kernels.py,
 tests/test_operators.py, tests/test_spaces.py and tests/test_verification.py;
@@ -18,7 +20,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from driftlab._kernels import periodic_correlation
+from driftlab._kernels import ball_offsets, periodic_correlation
 from driftlab.spaces import max_band_level
 from fullspectrum_reference import band_multiplier
 
@@ -100,6 +102,50 @@ def ball_deviation_windows(values, offsets, stride: int, n_centers: int, dev):
                 t = win - means[i0:i1, j0:j1, None]
                 out[i0:i1, j0:j1] += dev(t, out=t).sum(axis=2)
     return (out / m).reshape((n_centers,) * d)
+
+
+# ---------------------------------------------------------------------------
+# BMO: FFT ball means, deviations summed one ball offset at a time over all
+# centers (a strided view of a padded copy per offset), large balls over
+# their complement; every radius and center scanned
+
+
+def ball_deviation_offsets(values, offsets, stride: int, dev):
+    f = np.asarray(values, dtype=np.float64)
+    f = f - f.flat[0]
+    d, N = f.ndim, f.shape[0]
+    m = offsets[0].size
+    ball = np.zeros(f.shape)
+    ball[tuple(offsets)] = 1.0
+    last = (-(-N // stride) - 1) * stride
+    means = periodic_correlation(f, ball)[(slice(0, last + 1, stride),) * d] / m
+    total = np.zeros_like(means)
+    accumulate = np.add
+    if dev is np.abs and 2 * m > f.size:
+        values_sorted = np.sort(f, axis=None)
+        prefix = np.concatenate(([0.0], np.cumsum(values_sorted, dtype=np.longdouble)))
+        below = np.searchsorted(values_sorted, means)
+        total = (prefix[-1] - 2.0 * prefix[below] + means * (2 * below - f.size)).astype(np.float64)
+        offsets = np.nonzero(ball == 0.0)
+        accumulate = np.subtract
+    padded = np.pad(f, [(0, last)] * d, mode="wrap")
+    t = np.empty_like(means)
+    views = ([slice(o, o + last + 1, stride) for o in axis.tolist()] for axis in offsets)
+    for view in zip(*views):
+        np.subtract(padded[view], means, out=t)
+        accumulate(total, dev(t, out=t), out=total)
+    return total / m
+
+
+def ball_deviation_full_max(values, radii, stride: int, dev) -> float:
+    """max(0, every radius's largest ``ball_deviation_offsets``), radius by
+    radius, as bmo_norm and the L2 oscillation ratio took it."""
+    f = np.asarray(values, dtype=np.float64)
+    best = 0.0
+    for rho in radii:
+        offsets = ball_offsets(f.ndim, f.shape[0], rho)
+        best = max(best, float(ball_deviation_offsets(f, offsets, stride, dev).max()))
+    return best
 
 
 # ---------------------------------------------------------------------------

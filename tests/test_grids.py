@@ -146,6 +146,27 @@ class TestScalarField:
         assert lazy.without_coefficients().values.tobytes() == want.tobytes()
         assert len(calls) == 2
 
+    def test_with_coefficients_keeps_one_forward_transform(self, monkeypatch):
+        g = GridSpec(d=2, N=8)
+        f = _random_field(g, 5)
+        want = half_spectrum(g).forward(f.values)
+        calls = []
+        rfftn = np.fft.rfftn
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return rfftn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfftn", counted)
+        kept = f.with_coefficients()
+        assert len(calls) == 1 and kept.values is f.values
+        for _ in range(2):
+            assert kept.half_coefficients().tobytes() == want.tobytes()
+        assert kept.half_coefficients() is kept.half_coefficients()
+        assert not kept.half_coefficients().flags.writeable
+        assert kept.with_coefficients() is kept and len(calls) == 1
+        assert f.half_coefficients() is not f.half_coefficients() and len(calls) == 3
+
     def test_coefficients_are_checked_when_kept_and_values_when_computed(self):
         g = GridSpec(d=2, N=8)
         ch = np.zeros(half_spectrum(g).shape, dtype=complex)

@@ -5,7 +5,9 @@ check it against the element-by-element loops in kernel_reference.py: the
 BMO ball scans, the singular lattice sum of the direct oracle in
 direct_oracle.py and the Holder pair max.  The
 Holder pair max must also equal the frozen numpy loops there exactly, and
-the BMO kernel must agree with the frozen windowed kernel there.
+the BMO kernel must agree with the frozen windowed kernel there.  The
+gathered ball sums must equal the frozen per-offset kernel bit for bit,
+and the pruned max over radii and centers must equal its full scan.
 """
 
 import numpy as np
@@ -24,6 +26,11 @@ def _rand(shape, seed):
     return np.random.Generator(np.random.PCG64(seed)).standard_normal(shape)
 
 
+def _bmo_one(v, radius, stride):
+    """The mean oscillation maximized over the centers of one radius."""
+    return _kernels.ball_deviation_max(v, [radius], stride, np.abs)
+
+
 def _holder_dist_pow(shape, beta):
     """Weights dist(0, z)^-beta over grid offsets z, zero at z = 0."""
     N = shape[0]
@@ -40,7 +47,7 @@ def test_bmo_backends_agree_1d(seed, radius):
     v = _rand(64, seed)
     (offs,) = _kernels.ball_offsets(1, 64, radius)
     ref = kernel_reference.bmo_osc_1d(v, offs, 1)
-    b = _kernels.bmo_oscillation(v, radius, stride=1)
+    b = _bmo_one(v, radius, 1)
     assert ref == pytest.approx(b, rel=1e-12)
 
 
@@ -49,7 +56,7 @@ def test_bmo_backends_agree_2d(seed):
     v = _rand((16, 16), seed)
     offs_i, offs_j = _kernels.ball_offsets(2, 16, 0.25)
     ref = kernel_reference.bmo_osc_2d(v, offs_i, offs_j, 2)
-    b = _kernels.bmo_oscillation(v, 0.25, stride=2)
+    b = _bmo_one(v, 0.25, 2)
     assert ref == pytest.approx(b, rel=1e-12)
 
 
@@ -66,7 +73,7 @@ def _bmo_loop(v, radius, stride):
 def test_bmo_matches_ball_scan(d, N, stride):
     v = _rand((N,) * d, 10 * N + stride)
     for radius in (0.5, 0.25, 0.3, 1.0 / N):
-        assert _kernels.bmo_oscillation(v, radius, stride) == pytest.approx(
+        assert _bmo_one(v, radius, stride) == pytest.approx(
             _bmo_loop(v, radius, stride), rel=1e-12
         )
 
@@ -76,18 +83,24 @@ def test_bmo_stride_not_dividing_n(d):
     # centers 0, 5, ..., 20: the last one's balls wrap past the row end
     v = _rand((24,) * d, 3)
     for radius in (0.5, 0.25, 0.1):
-        assert _kernels.bmo_oscillation(v, radius, 5) == pytest.approx(
+        assert _bmo_one(v, radius, 5) == pytest.approx(
             _bmo_loop(v, radius, 5), rel=1e-12
         )
 
 
 @pytest.mark.parametrize("shape", [(32,), (16, 16)])
 @pytest.mark.parametrize("stride", [1, 3])
-def test_bmo_constant_and_zero_exact(shape, stride):
+def test_bmo_constant_and_zero_exact(shape, stride, monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("ball sums of a constant field")
+
+    monkeypatch.setattr(_kernels, "ball_deviation", unexpected)
     for value in (0.0, 4.0, -1e300, np.pi):
         v = np.full(shape, value)
         for radius in (0.5, 0.25, 1.0 / 16):
-            assert _kernels.bmo_oscillation(v, radius, stride) == 0.0
+            for dev in (np.abs, np.square):
+                got = _kernels.ball_deviation_max(v, [radius], stride, dev)
+                assert got == 0.0 and np.copysign(1.0, got) == 1.0
 
 
 @given(
@@ -101,12 +114,12 @@ def test_bmo_large_balls_match_ball_scan(N, stride, radius, seed):
     # above r ~ 0.4 a 2-d ball holds more than half of the nodes and is summed
     # over its complement; strides 3 and 5 do not divide 16 or 24
     v = _rand((N, N), seed)
-    assert _kernels.bmo_oscillation(v, radius, stride) == pytest.approx(
+    assert _bmo_one(v, radius, stride) == pytest.approx(
         _bmo_loop(v, radius, stride), rel=1e-12
     )
     # in 1-d the r = 1/2 ball is the whole circle: its complement is empty
     w = v[0]
-    assert _kernels.bmo_oscillation(w, 0.5, stride) == pytest.approx(
+    assert _bmo_one(w, 0.5, stride) == pytest.approx(
         _bmo_loop(w, 0.5, stride), rel=1e-12
     )
 
@@ -136,6 +149,130 @@ def test_bmo_matches_frozen_window_kernel(d, N, stride):
             new = _kernels.ball_deviation(v, offsets, stride, np.abs)
             assert new.shape == ref.shape
             assert np.max(np.abs(new - ref)) <= 1e-11 * np.max(ref)
+
+
+def _profiles(d, N):
+    """Radii and fields whose BMO max sits in different places: noise
+    (small balls), a sign field and a sine (the largest radius), a log
+    shear (a logarithmic spike, the lab's BMO-but-not-bounded drift), and a
+    near-delta bump and a one-node spike (one ball, where the L2 bound is
+    loosest)."""
+    x = np.arange(N) / N
+    profile = {
+        "sign": np.sign(np.sin(2 * np.pi * x) + 0.5 / N),
+        "sine": np.sin(2 * np.pi * x + 0.3),
+        "log_shear": np.log(np.abs(np.sin(np.pi * x)) + 2.0**-8),
+    }
+    fields = {k: v if d == 1 else np.add.outer(np.zeros(N), v) for k, v in profile.items()}
+    fields["noise"] = _rand((N,) * d, 7 * N + d)
+    fields["spike"] = np.zeros((N,) * d)
+    fields["spike"][(N // 3,) * d] = 1.0
+    radii = [0.5, 0.25, 0.3, 1.0 / N]
+    if N & (N - 1) == 0:
+        grid = GridSpec(d=d, N=N)
+        fields["near_delta"] = np.roll(near_delta_bump(grid, 0.02).values, N // 3, axis=0)
+        radii = default_bmo_radii(grid) + [0.3, 1.0 / N]
+    return radii, fields
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("N,stride", [(24, 5), (32, 1), (32, 3), (64, 2)])
+def test_gathered_ball_sums_are_the_frozen_offset_sums(d, N, stride):
+    # every center, and a subset of centers, bit for bit: the same means,
+    # the same terms in the same order, the same complement path
+    radii, fields = _profiles(d, N)
+    rng = np.random.default_rng(N + stride)
+    for v in fields.values():
+        for radius in radii:
+            offsets = _kernels.ball_offsets(d, N, radius)
+            for dev in (np.abs, np.square):
+                want = kernel_reference.ball_deviation_offsets(v, offsets, stride, dev)
+                got = _kernels.ball_deviation(v, offsets, stride, dev)
+                assert got.tobytes() == want.tobytes()
+                centers = rng.choice(want.size, size=1 + want.size // 3, replace=False)
+                part = _kernels.ball_deviation(v, offsets, stride, dev, centers=centers)
+                assert part.tobytes() == want.reshape(-1)[centers].tobytes()
+
+
+@pytest.mark.parametrize(
+    "d,N,strides",
+    [(1, 8, (1, 2, 4)), (1, 64, (1, 2, 4)), (1, 256, (1, 2, 4)), (1, 1024, (4, 16)),
+     (2, 8, (1, 2, 4)), (2, 16, (1, 2, 4)), (2, 32, (1, 2, 4)), (2, 64, (1, 2, 4)),
+     (2, 128, (2, 4)), (2, 256, (4,))],
+)
+def test_pruned_max_equals_full_scan(d, N, strides):
+    radii, fields = _profiles(d, N)
+    for name, v in fields.items():
+        if N == 256 and d == 2 and name not in ("noise", "sign"):
+            continue  # one full scan at this size takes ~0.4 s
+        for stride in strides:
+            for dev in (np.abs, np.square):
+                want = kernel_reference.ball_deviation_full_max(v, radii, stride, dev)
+                got = _kernels.ball_deviation_max(v, radii, stride, dev)
+                assert got == want, (name, stride, dev.__name__)
+
+
+def _diagnose_bmo_inputs(seed):
+    """The BMO inputs of the diagnose benchmark at a seed, with their
+    strides N // 64: band-limited noise at d=2, N=128 and d=1, N=1024, and
+    a seeded shift of the near-delta bump at d=2, N=128."""
+    g2, g1 = GridSpec(d=2, N=128), GridSpec(d=1, N=1024)
+    shift = tuple(int(s) for s in np.random.default_rng(seed).integers(0, 128, size=2))
+    bump = np.roll(near_delta_bump(g2, 0.02).values, shift, axis=(0, 1))
+    return [
+        (g2, random_band_limited(g2, 8, seed=seed).values, 2),
+        (g2, bump, 2),
+        (g1, random_band_limited(g1, 16, seed=seed).values, 16),
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 101])
+def test_pruned_max_equals_full_scan_on_diagnose_inputs(seed):
+    for grid, v, stride in _diagnose_bmo_inputs(seed):
+        radii = default_bmo_radii(grid)
+        for dev in (np.abs, np.square):
+            want = kernel_reference.ball_deviation_full_max(v, radii, stride, dev)
+            assert _kernels.ball_deviation_max(v, radii, stride, dev) == want
+
+
+@pytest.mark.parametrize("shape", [(64,), (16, 16)])
+@pytest.mark.parametrize("stride", [1, 3])
+def test_pruned_max_at_extreme_amplitudes(shape, stride):
+    # 1e-200: g^2 would underflow without the normalisation, and squares do;
+    # 1e200: squares overflow; 1e6 + 1e-6 noise: a large mean, small
+    # oscillation.  Outside the bound's range every ball is summed.
+    radii = [0.5, 0.3, 0.25, 0.125, 1.0 / shape[0]]
+    noise = _rand(shape, 5)
+    for v in (1e-200 * noise, 1e200 * noise, 1e6 + 1e-6 * noise, 1e-155 * noise):
+        for dev in (np.abs, np.square):
+            with np.errstate(over="ignore"):
+                want = kernel_reference.ball_deviation_full_max(v, radii, stride, dev)
+                got = _kernels.ball_deviation_max(v, radii, stride, dev)
+            assert got == want
+
+
+def test_pruned_max_takes_abs_or_square_and_any_radii():
+    v = _rand(16, 0)
+    with pytest.raises(ValueError, match="dev"):
+        _kernels.ball_deviation_max(v, [0.25], 1, np.negative)
+    assert _kernels.ball_deviation_max(v, [], 1, np.abs) == 0.0
+    want = kernel_reference.ball_deviation_full_max(v, [0.25, 0.5], 1, np.abs)
+    assert _kernels.ball_deviation_max(v, (r for r in (0.25, 0.5)), 1, np.abs) == want
+
+
+@pytest.mark.parametrize("d,N,stride", [(1, 256, 1), (2, 32, 1), (2, 64, 2), (2, 24, 5)])
+def test_every_ball_value_is_at_most_its_bound(d, N, stride):
+    radii, fields = _profiles(d, N)
+    fields["offset"] = 1e6 + 1e-6 * fields["noise"]
+    for v in fields.values():
+        for dev in (np.abs, np.square):
+            per_radius = _kernels.ball_deviation_bounds(v, radii, stride, dev)
+            for radius, (m, means, bound) in zip(radii, per_radius):
+                offsets = _kernels.ball_offsets(d, N, radius)
+                assert m == offsets[0].size
+                exact = _kernels.ball_deviation(v, offsets, stride, dev)
+                assert exact.shape == bound.shape == means.shape
+                assert np.all(exact <= bound)
 
 
 def _assert_singular_agrees(shape, seed):

@@ -114,6 +114,53 @@ class TestBMO:
             set_diagnostics_sink(None)
         assert [json.loads(r)["value"] for r in records] == [0.0] * 4
 
+    @staticmethod
+    def _full_scan(f, radii, stride):
+        return kernel_reference.ball_deviation_full_max(f.values, radii, stride, np.abs)
+
+    @pytest.mark.parametrize("seed", [0, 7, 102])
+    def test_equals_full_scan_on_diagnose_inputs(self, seed):
+        # the BMO inputs of the diagnose benchmark, at its stride N // 64
+        g2, g1 = GridSpec(d=2, N=128), GridSpec(d=1, N=1024)
+        shift = tuple(int(s) for s in np.random.default_rng(seed).integers(0, 128, size=2))
+        bump = np.roll(near_delta_bump(g2, 0.02).values, shift, axis=(0, 1))
+        for f in (random_band_limited(g2, 8, seed=seed), ScalarField(g2, bump),
+                  random_band_limited(g1, 16, seed=seed)):
+            stride = f.grid.N // 64
+            want = self._full_scan(f, default_bmo_radii(f.grid), stride)
+            assert bmo_norm(f, stride=stride) == want
+
+    @pytest.mark.parametrize("d,N,stride", [(1, 64, 1), (1, 256, 4), (2, 32, 1), (2, 64, 2), (2, 128, 4)])
+    def test_log_shear_equals_full_scan(self, d, N, stride):
+        # the lab's drift with a BMO bound and no sup bound grows a log spike
+        # as eps falls; its L2 bound is loose, so whole radii are summed
+        g = GridSpec(d=d, N=N)
+        x = g.coords()[-1]
+        for eps in (2.0**-2, 2.0**-6):
+            f = ScalarField(g, np.log(np.abs(np.sin(np.pi * x)) + eps) + np.zeros(g.shape))
+            for radii in (default_bmo_radii(g), [0.5, 0.3, 1.0 / N]):
+                assert bmo_norm(f, radii=radii, stride=stride) == self._full_scan(f, radii, stride)
+
+    def test_sums_few_of_the_balls(self, monkeypatch):
+        # the diagnose benchmark's random d=2, N=128 field at stride 2: the
+        # bound leaves under 5% of the full scan's center-offset pairs
+        f = random_band_limited(GridSpec(d=2, N=128), 8, seed=0)
+        radii, stride = default_bmo_radii(f.grid), 2
+        sums = []
+        ball_deviation = _kernels.ball_deviation
+
+        def counted(values, offsets, stride, dev, centers=None, means=None):
+            n_centers = (128 // stride) ** 2 if centers is None else len(centers)
+            sums.append(n_centers * offsets[0].size)
+            return ball_deviation(values, offsets, stride, dev, centers=centers, means=means)
+
+        monkeypatch.setattr(_kernels, "ball_deviation", counted)
+        got = bmo_norm(f, stride=stride)
+        full = sum((128 // stride) ** 2 * _kernels.ball_offsets(2, 128, r)[0].size for r in radii)
+        assert 0 < sum(sums) < 0.05 * full
+        monkeypatch.undo()
+        assert got == self._full_scan(f, radii, stride)
+
     @given(st.integers(0, 500))
     def test_shift_and_scale_invariance(self, seed):
         g = GridSpec(d=1, N=64)

@@ -180,16 +180,16 @@ def test_sqg_step_makes_ten_transforms(fft_calls):
 
 
 def test_sqg_run_transforms_its_stored_states_only(fft_calls):
-    # start-up: theta0 keeps no coefficients, so its velocity transforms it
-    # once per Riesz component (2 + 2 inverse) and the first step once more
-    # (1); then 10 per step and 1 per stored state
+    # start-up: one forward transform of theta0 serves both Riesz components
+    # and the first step (1 + 2 inverse); then 10 per step and 1 per stored
+    # state
     cfg = SimConfig(grid=G2, kind="sqg", dt=1e-3, t_end=0.02, cadence=6)
     theta0 = random_band_limited(G2, band=4, seed=0)
     run_forward(cfg, theta0)  # builds the plan
     fft_calls.clear()
     result = run_forward(cfg, theta0)
     assert [s.step for s in result.states] == [0, 6, 12, 18, 20]
-    assert len(fft_calls) == 5 + 10 * 20 + 4
+    assert len(fft_calls) == 3 + 10 * 20 + 4
 
 
 def test_every_stored_sqg_state_is_bit_identical():

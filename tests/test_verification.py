@@ -9,7 +9,7 @@ import kernel_reference
 from driftlab import _kernels
 from driftlab.grids import GridSpec, ScalarField, VelocityField
 from driftlab.operators import near_delta_bump, norms, random_band_limited
-from driftlab.evolution import SimConfig, VelocitySpec
+from driftlab.evolution import SimConfig, VelocitySpec, shear_velocity
 from driftlab.spaces import (
     default_bmo_radii,
     holder_seminorm_decimated,
@@ -212,6 +212,24 @@ class TestConcentration:
         radii = [0.5, 0.25, 0.3, 1.0 / N]
         expected = kernel_reference.l2_oscillation_ratio(u, radii, stride)
         assert _l2_oscillation_ratio(u, radii, stride) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("d,N,stride", [(1, 256, 1), (2, 32, 1), (2, 64, 2), (2, 128, 4), (2, 128, 16)])
+    def test_l2_oscillation_equals_full_scan(self, d, N, stride):
+        # the pruned max against every radius and center, by ==: band-limited
+        # noise, a shear (one constant component) and a near-delta bump
+        g = GridSpec(d=d, N=N)
+        bump = near_delta_bump(g, 0.02)
+        noise = [random_band_limited(g, 4, seed=s) for s in range(d)]
+        fields = [VelocityField(g, tuple(noise)), VelocityField(g, (bump,) * d)]
+        if d == 2:
+            fields.append(shear_velocity(g, 0.25))
+        for radii in (default_bmo_radii(g)[:2], default_bmo_radii(g) + [0.3]):
+            for u in fields:
+                want = max(
+                    float(np.sqrt(kernel_reference.ball_deviation_full_max(c.values, radii, stride, np.square)))
+                    for c in u.components
+                )
+                assert _l2_oscillation_ratio(u, radii, stride) == want
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("N", [8, 16, 32, 64, 128, 256, 512])
