@@ -79,6 +79,14 @@ def _sums_complement(dev, m: int, size: int) -> bool:
     return dev is np.abs and 2 * m > size
 
 
+def _centered(values) -> np.ndarray:
+    """f - f.flat[0] in float64: oscillations are shift invariant, and
+    centering makes a constant field exactly zero through the transforms.
+    Centering a centered field changes no bit."""
+    f = np.asarray(values, dtype=np.float64)
+    return f - f.flat[0]
+
+
 def ball_deviation(values: np.ndarray, offsets, stride: int, dev, centers=None, means=None):
     """Mean over the ball c + offsets of dev(f - mean_ball f), at the centers
     c = stride * k, 0 <= k < ceil(N / stride) along each axis, as an array
@@ -89,26 +97,21 @@ def ball_deviation(values: np.ndarray, offsets, stride: int, dev, centers=None, 
     ``dev`` is a ufunc such as ``np.abs`` or ``np.square``.  The ball means
     come from one real-FFT correlation with the ball indicator, unless the
     caller passes them (``means``, on the whole center grid, as computed
-    here).  Each center's deviations are summed one ball offset at a time,
-    in the order of ``offsets``: for every center at once from one strided
-    view per offset of a periodically padded copy of f, or, for given
-    centers, from a gathered table of their terms, summed along its rows
-    by ``accumulate``.  Either way a center's float depends only on f, the
-    ball and its mean.  For dev = |.| a ball that holds more than half of
-    the nodes is summed over its complement instead: sum_x |f(x) - a| over
-    the whole torus, for every center mean a, comes from one sort of f and
-    its prefix sums, and the complement's deviations are subtracted from
-    it.
+    here).  The centers' terms are gathered from a periodically padded
+    copy of f into tables of about 2^13 terms (at least one center's row),
+    whose rows ``accumulate`` sums: each center's deviations are added one
+    ball offset at a time, in the order of ``offsets``, so a center's float
+    depends only on f, the ball and its mean.  For dev = |.| a ball that holds more than half of the
+    nodes is summed over its complement instead: sum_x |f(x) - a| over the
+    whole torus, for every center mean a, comes from one sort of f and its
+    prefix sums, and the complement's deviations are subtracted from it.
     """
-    # oscillations are shift invariant; centering makes a constant field
-    # exactly zero through the transforms
-    f = np.asarray(values, dtype=np.float64)
-    f = f - f.flat[0]
+    f = _centered(values)
     m = offsets[0].size
-    ball = _ball_indicator(f.shape, offsets)
     if means is None:
-        means = _ball_means(np.fft.rfftn(f), np.conj(np.fft.rfftn(ball)), f.shape, m, stride)
-    a = means if centers is None else means.reshape(-1)[centers]
+        ball_conj = np.conj(np.fft.rfftn(_ball_indicator(f.shape, offsets)))
+        means = _ball_means(np.fft.rfftn(f), ball_conj, f.shape, m, stride)
+    a = means.reshape(-1) if centers is None else means.reshape(-1)[centers]
     total = np.zeros_like(a)
     accumulate = np.add
     if _sums_complement(dev, m, f.size):
@@ -118,19 +121,13 @@ def ball_deviation(values: np.ndarray, offsets, stride: int, dev, centers=None, 
         prefix = np.concatenate(([0.0], np.cumsum(values_sorted, dtype=np.longdouble)))
         below = np.searchsorted(values_sorted, a)
         total = (prefix[-1] - 2.0 * prefix[below] + a * (2 * below - f.size)).astype(np.float64)
-        offsets = np.nonzero(ball == 0.0)
+        offsets = np.nonzero(_ball_indicator(f.shape, offsets) == 0.0)
         accumulate = np.subtract
     last = (means.shape[0] - 1) * stride
     padded = np.pad(f, [(0, last)] * f.ndim, mode="wrap")
-    if centers is None:
-        t = np.empty_like(means)
-        views = ([slice(o, o + last + 1, stride) for o in axis.tolist()] for axis in offsets)
-        for view in zip(*views):
-            np.subtract(padded[view], means, out=t)
-            accumulate(total, dev(t, out=t), out=total)
-        return total / m
     # flat indices into the padded copy: a center's node plus an offset
-    center_index = np.ravel_multi_index(np.unravel_index(centers, means.shape), padded.shape) * stride
+    at = np.arange(a.size) if centers is None else centers
+    center_index = np.ravel_multi_index(np.unravel_index(at, means.shape), padded.shape) * stride
     offset_index = np.ravel_multi_index(offsets, padded.shape)
     padded = padded.reshape(-1)
     rows = max(1, _GATHER_ELEMENTS // max(1, offset_index.size))
@@ -143,7 +140,8 @@ def ball_deviation(values: np.ndarray, offsets, stride: int, dev, centers=None, 
         np.subtract(padded[center_index[part, None] + offset_index], a[part, None], out=body)
         dev(body, out=body)
         total[part] = accumulate.accumulate(terms, axis=1)[:, -1]
-    return total / m
+    total /= m
+    return total.reshape(means.shape) if centers is None else total
 
 
 # the bound's allowance for rounding on the scale max|f| = 1, before its
@@ -177,8 +175,7 @@ def ball_deviation_bounds(values: np.ndarray, radii, stride: int, dev) -> list:
     far from overflow; outside it, and for a field that is not finite,
     every bound is +inf.
     """
-    f = np.asarray(values, dtype=np.float64)
-    f = f - f.flat[0]
+    f = _centered(values)
     d, N = f.ndim, f.shape[0]
     scale = float(np.max(np.abs(f)))
     unit = scale if dev is np.abs else scale * scale
@@ -210,19 +207,17 @@ def ball_deviation_max(values: np.ndarray, radii, stride: int, dev) -> float:
 
     The (radius, center) pairs are visited in decreasing order of their
     ``ball_deviation_bounds``: the pair of the largest bound alone, then
-    batches of 2^13 center-offset terms, twice as many each time.  The
-    scan stops at the first pair whose bound is <= the best value found,
-    since no later pair can beat it.  A radius with more than a quarter of
-    its centers still able to win is summed at every center at once,
-    which costs less per term than gathering them.  A max does not depend
-    on the order of its terms, and each value is ``ball_deviation``'s with
-    the bound's means, so the result is the float of the full scan.  A
-    constant field gives 0.0 without ball sums.
+    batches of 2^13 center-offset terms, twice as many each time, so that
+    a field whose bound prunes little is summed in a few calls.  The scan
+    stops at the first pair whose bound is <= the best value found, since
+    no later pair can beat it.  A max does not depend on the order of its
+    terms, and each value is ``ball_deviation``'s with the bound's means,
+    so the result is the float of the full scan.  A constant field gives
+    0.0 without ball sums.
     """
     if dev is not np.abs and dev is not np.square:
         raise ValueError("dev must be np.abs or np.square")
-    f = np.asarray(values, dtype=np.float64)
-    f = f - f.flat[0]
+    f = _centered(values)
     radii = list(radii)
     if not f.any() or not radii:  # every deviation of a constant field is +0.0
         return 0.0
@@ -231,10 +226,9 @@ def ball_deviation_max(values: np.ndarray, radii, stride: int, dev) -> float:
     n_centers = means[0].size
     bounds = np.concatenate([b.reshape(-1) for b in bounds])
     offsets = {}  # built for the radii that are summed
-    summed = np.zeros(len(radii), dtype=bool)  # at every center
     best = 0.0
 
-    def visit(r, centers=None):
+    def visit(r, centers):
         nonlocal best
         if r not in offsets:
             offsets[r] = ball_offsets(d, N, radii[r])
@@ -252,14 +246,8 @@ def ball_deviation_max(values: np.ndarray, radii, stride: int, dev) -> float:
     before = np.cumsum(work[radius_of]) - work[radius_of]  # terms ahead of each pair
     pos, budget = 0, _GATHER_ELEMENTS
     while pos < pairs.size and ranked[pos] > best:
-        stop = pos + int(np.searchsorted(-ranked[pos:], -best))
-        live = np.bincount(radius_of[pos:stop], minlength=len(radii))
-        for r in np.flatnonzero(~summed & (4 * live > n_centers)).tolist():
-            visit(r)
-            summed[r] = True
-        end = min(stop, max(pos + 1, int(np.searchsorted(before, before[pos] + budget))))
-        batch = np.arange(pos, end)[~summed[radius_of[pos:end]]]
-        batch = batch[ranked[batch] > best]
+        end = max(pos + 1, int(np.searchsorted(before, before[pos] + budget)))
+        batch = np.arange(pos, end)[ranked[pos:end] > best]
         for r in np.unique(radius_of[batch]).tolist():
             visit(r, pairs[batch[radius_of[batch] == r]] % n_centers)
         pos, budget = end, 2 * budget

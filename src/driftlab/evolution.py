@@ -421,12 +421,12 @@ def run_forward(cfg: SimConfig, theta0: ScalarField) -> RunResult:
     grid = cfg.grid
     if theta0.grid != grid:
         raise ValueError("initial field grid does not match the configuration")
-    theta = theta0
+    start = theta0
     if cfg.kind == "sqg":
         history = None
         # one forward transform serves both Riesz components and step 1
-        theta = theta0.with_coefficients()
-        u = sqg_velocity(theta)
+        start = theta0.with_coefficients()
+        u = sqg_velocity(start)
     else:
         history = VelocityHistory.prescribed(cfg.velocity, grid)
         u = history.velocity_at(0.0)
@@ -446,7 +446,8 @@ def run_forward(cfg: SimConfig, theta0: ScalarField) -> RunResult:
         hist_times = [0.0]
         hist_samples = [_u_phys(u)]
 
-    state = EvolutionState(t=0.0, theta=theta, u=u, step=0)
+    state = EvolutionState(t=0.0, theta=start, u=u, step=0)
+    del start  # the kept coefficients go with the state at step 1
     states = [replace(state, theta=theta0)]  # stored without the transform
     diags = [_diag_row(states[0], cfg)]
     for _ in range(nsteps):
