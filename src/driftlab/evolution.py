@@ -279,7 +279,7 @@ class SpectralPlan(AdvectionTendency):
     def __init__(self, grid: GridSpec, alpha: float, dt: float, adv_sign: float):
         super().__init__(grid, adv_sign)
         self.dt = dt
-        lam = (TWO_PI * half_spectrum(grid).radius) ** alpha
+        lam = half_spectrum(grid).symbol(alpha)
         self.E = np.exp(-lam * dt)
         self.E_half = np.exp(-lam * (0.5 * dt))
         # the product dt * E_half that the corrector's left-to-right

@@ -1,8 +1,11 @@
-"""Periodic grids on the unit torus and the field types built on them.
+"""Periodic grids on the unit torus, the field types built on them, and
+the spectral core: the half-spectrum transforms and every Fourier
+multiplier of the library.
 
 The torus is always [0,1)^d with d in {1,2}; integer wave vectors n give
 angular wave vectors k = 2*pi*n, so the half-Laplacian has eigenvalues
-2*pi*|n|.
+2*pi*|n|.  ``HalfSpectrum`` holds the wave vectors, the dissipation symbol
+|2*pi*n|^alpha, the 2/3 dealiasing mask and the Riesz multipliers.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MEAN_ZERO_RTOL = 1e-12
+TWO_PI = 2.0 * np.pi
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -243,7 +247,9 @@ class HalfSpectrum:
 
     Every axis uses the ``fftfreq`` convention, so index N/2 is n = -N/2 as
     in the full spectrum.  Build it with ``half_spectrum(grid)``, which
-    caches one per grid; its arrays are read-only.
+    caches one per grid; its arrays are read-only.  It owns the library's
+    multipliers: ``symbol`` and ``dealias_mask`` make a new array on each
+    call, and ``riesz`` is built on its first read and kept.
     """
 
     def __init__(self, grid: GridSpec):
@@ -272,6 +278,35 @@ class HalfSpectrum:
         self.ik_mirror = tuple(
             spread(j, 2j * np.pi * np.where(m == -nyq, nyq, m)) for j, m in per_axis
         )
+
+    def symbol(self, alpha: float) -> np.ndarray:
+        """The dissipation multiplier |2*pi*n|^alpha of (-Laplace)^{alpha/2}."""
+        return (TWO_PI * self.radius) ** alpha
+
+    def dealias_mask(self) -> np.ndarray:
+        """2/3-rule mask (Orszag 1971): |n_j| <= ``dealias_cutoff(N)`` on
+        every axis."""
+        cut = dealias_cutoff(self.grid.N)
+        return np.logical_and.reduce([np.abs(m) <= cut for m in self.modes])
+
+    @functools.cached_property
+    def riesz(self) -> tuple:
+        """The Riesz multipliers -i n_j / |n|, j = 1..d, read-only; 0 at
+        n = 0 and on both Nyquist lines (|n_1| = N/2 or |n_2| = N/2).
+
+        A mode on the Nyquist line of axis j is its own mirror in n_j, so
+        the real field cancels R_j there but keeps the other transform.
+        Zeroing both on both lines leaves u = (-R_2 theta, R_1 theta) no
+        content there, which keeps it divergence-free.
+        """
+        nr = np.where(self.radius > 0, self.radius, 1.0)
+        nyquist = np.logical_or.reduce([np.abs(m) == self.grid.N // 2 for m in self.modes])
+        out = []
+        for m in self.modes:
+            mult = np.where(nyquist, 0.0, -1j * m / nr)
+            mult.setflags(write=False)
+            out.append(mult)
+        return tuple(out)
 
     def odd(self, j: int, mult: np.ndarray) -> np.ndarray:
         """An odd multiplier of axis j (0-based), zero on that axis's Nyquist
@@ -310,6 +345,14 @@ class HalfSpectrum:
 @functools.lru_cache(maxsize=8)
 def half_spectrum(grid: GridSpec) -> HalfSpectrum:
     return HalfSpectrum(grid)
+
+
+def dealias_cutoff(N: int) -> int:
+    """Largest kept |n| under the 2/3 rule (strictly below N/3)."""
+    cut = N // 3
+    if 3 * cut == N:
+        cut -= 1
+    return cut
 
 
 def spectral_divergence_max(components) -> float:

@@ -1,4 +1,6 @@
-"""Spectral and singular-integral operators on torus fields."""
+"""Operators on torus fields: the spectral fractional Laplacian, gradient
+and Riesz transforms, the dealiased advection tendency, and the seeded
+fields.  Their multipliers come from ``grids.half_spectrum(grid)``."""
 
 from __future__ import annotations
 
@@ -8,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import (
+    TWO_PI,
     GridSpec,
     ScalarField,
     VelocityField,
@@ -16,8 +19,6 @@ from .grids import (
     to_physical,
     to_spectral,
 )
-
-TWO_PI = 2.0 * np.pi
 
 
 def inner(f: ScalarField, g: ScalarField) -> float:
@@ -49,7 +50,7 @@ def fractional_laplacian_spectral(f: ScalarField, alpha: float = 1.0) -> ScalarF
     if not 0.0 < alpha <= 2.0:
         raise ValueError(f"alpha must be in (0, 2], got {alpha}")
     spec = half_spectrum(f.grid)
-    ch = spec.forward(f.values) * (TWO_PI * spec.radius) ** alpha
+    ch = spec.forward(f.values) * spec.symbol(alpha)
     return ScalarField.adopt(f.grid, spec.inverse(ch))
 
 
@@ -69,44 +70,8 @@ def riesz_transform(f: ScalarField, j: int) -> ScalarField:
         raise ValueError("Riesz transforms require d=2")
     if j not in (1, 2):
         raise ValueError(f"component index must be 1 or 2, got {j}")
-    ch = f.half_coefficients() * _riesz_multipliers(f.grid)[j - 1]
+    ch = f.half_coefficients() * half_spectrum(f.grid).riesz[j - 1]
     return ScalarField.adopt_half_spectrum(f.grid, ch)
-
-
-@functools.lru_cache(maxsize=8)
-def _riesz_multipliers(grid: GridSpec) -> tuple:
-    """-i n_j / |n| on the half spectrum, 0 at n = 0 and on both Nyquist
-    lines (|n_1| = N/2 or |n_2| = N/2).
-
-    A mode on the Nyquist line of axis j is its own mirror in n_j, so the
-    real field cancels R_j there but keeps the other transform.  Zeroing
-    both on both lines leaves u = (-R_2 theta, R_1 theta) no content there,
-    which keeps it divergence-free.
-    """
-    spec = half_spectrum(grid)
-    nr = np.where(spec.radius > 0, spec.radius, 1.0)
-    nyquist = np.logical_or.reduce([np.abs(m) == grid.N // 2 for m in spec.modes])
-    out = []
-    for m in spec.modes:
-        mult = np.where(nyquist, 0.0, -1j * m / nr)
-        mult.setflags(write=False)
-        out.append(mult)
-    return tuple(out)
-
-
-def dealias_cutoff(N: int) -> int:
-    """Largest kept |n| under the 2/3 rule (strictly below N/3)."""
-    cut = N // 3
-    if 3 * cut == N:
-        cut -= 1
-    return cut
-
-
-def dealias_mask(grid: GridSpec, modes: tuple) -> np.ndarray:
-    """2/3-rule mask (Orszag 1971) over the spectral layout of ``modes``,
-    the full one of ``grid.modes()`` or a half spectrum."""
-    cut = dealias_cutoff(grid.N)
-    return np.logical_and.reduce([np.abs(nj) <= cut for nj in modes])
 
 
 class AdvectionTendency:
@@ -124,7 +89,7 @@ class AdvectionTendency:
         self.grid = grid
         self.forward = spec.forward
         self.inverse = spec.inverse
-        mask = dealias_mask(grid, spec.modes)
+        mask = spec.dealias_mask()
         self.ik = tuple(ikj * mask for ikj in spec.ik)
         self.mask = adv_sign * mask
         self.mask.flat[0] = 0.0

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .grids import GridSpec, ScalarField, half_spectrum, periodic_distance
+from .grids import GridSpec, ScalarField, half_spectrum
 from .operators import inner, norms
 
 MEAN_ZERO_FACTOR = 1e-8  # tolerance factor (times sup norm) for exact mean-zero conditions
@@ -42,15 +42,10 @@ def _emit(operation: str, f: ScalarField, outputs: dict):
 
 
 # ---------------------------------------------------------------------------
-# concentration weight
+# concentration weight Omega(z): the square root of the periodic distance
+# |z|, capped at 1/sqrt(2) from |z| = 1/2 on
 
 OMEGA_PLATEAU = 1.0 / math.sqrt(2.0)
-
-
-def omega_weight(x, x0) -> float:
-    """sqrt of the periodic distance, capped at 1/sqrt(2) beyond distance 1/2."""
-    dist = periodic_distance(x, x0)
-    return float(np.where(dist < 0.5, np.sqrt(dist), OMEGA_PLATEAU))
 
 
 def omega_offset_array(grid: GridSpec) -> np.ndarray:

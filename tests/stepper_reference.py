@@ -18,7 +18,15 @@ import numpy as np
 
 from driftlab.evolution import REVERSED_SIGN, VelocityHistory
 from driftlab.grids import GridSpec, half_spectrum
-from driftlab.operators import TWO_PI, dealias_mask
+from driftlab.operators import TWO_PI
+
+
+def _dealias_mask(spec) -> np.ndarray:
+    """2/3-rule mask on the half spectrum: |n_j| < N/3 on every axis."""
+    cut = spec.grid.N // 3
+    if 3 * cut == spec.grid.N:
+        cut -= 1
+    return np.logical_and.reduce([np.abs(m) <= cut for m in spec.modes])
 
 
 class Plan:
@@ -34,7 +42,7 @@ class Plan:
         lam.flat[0] = 0.0
         self.E = np.exp(-lam * dt)
         self.E_half = np.exp(-lam * (0.5 * dt))
-        mask = dealias_mask(grid, spec.modes)
+        mask = _dealias_mask(spec)
         self.ik = tuple(ikj * mask for ikj in spec.ik)
         self.mask = adv_sign * mask
         self.mask.flat[0] = 0.0

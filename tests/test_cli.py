@@ -187,6 +187,31 @@ class TestSimulateCommand:
         for fname in ("series.csv", "snap_0.tf", "snap_50.tf"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
+    def test_tracked_bmo_and_beta_columns(self, tmp_path):
+        from driftlab.spaces import bmo_norm, holder_from_lp
+
+        text = (
+            "grid.d = 2\ngrid.N = 32\nvelocity.kind = shear\nvelocity.amplitude = 0.5\n"
+            "time.dt = 1e-3\ntime.T = 0.004\noutput.cadence = 2\nseed = 4\n"
+        )
+        grid = GridSpec(d=2, N=32)
+        bmo_u = max(bmo_norm(c, stride=max(1, grid.N // 64))
+                    for c in evolution.shear_velocity(grid, 0.5).components)
+        for name, track in (("tracked", "track.bmo = true\ntrack.beta = true\n"), ("plain", "")):
+            cfg = _write_cfg(tmp_path, text + track, name=f"{name}.cfg")
+            out = tmp_path / name
+            assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+            lines = (out / "series.csv").read_text().splitlines()
+            assert len(lines) == 4  # steps 0, 2 and 4
+            for line in lines[1:]:
+                cells = line.split(",")
+                if not track:
+                    assert cells[6:] == ["", ""]
+                    continue
+                snap = fieldio.load_field(out / f"snap_{cells[0]}.tf")
+                assert float(cells[6]) == bmo_u
+                assert float(cells[7]) == holder_from_lp(snap).beta
+
     def test_invalid_config_no_partial_outputs(self, tmp_path):
         cfg = _write_cfg(tmp_path, "grid.N = 100\n")
         out = tmp_path / "run"

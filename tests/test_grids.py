@@ -237,6 +237,25 @@ class TestHalfSpectrum:
         assert np.max(np.abs(spec.forward(spec.inverse(ch)) - herm)) < 1e-14
         assert np.max(np.abs(herm - ch)) > 0.1
 
+    @pytest.mark.parametrize("d, N", [(1, 64), (2, 16), (2, 32)])
+    def test_multipliers_are_the_expressions_they_replace(self, d, N):
+        # bit for bit, as the operators and the steppers formed them
+        spec = half_spectrum(GridSpec(d=d, N=N))
+        for alpha in (0.5, 1.0, 1.5, 2.0):
+            assert spec.symbol(alpha).tobytes() == ((2.0 * np.pi * spec.radius) ** alpha).tobytes()
+        cut = N // 3
+        mask = np.ones(spec.shape, dtype=bool)
+        for m in spec.modes:
+            mask &= np.abs(m) <= cut
+        assert np.array_equal(spec.dealias_mask(), mask)
+        nr = np.where(spec.radius > 0, spec.radius, 1.0)
+        nyquist = np.logical_or.reduce([np.abs(m) == N // 2 for m in spec.modes])
+        riesz = spec.riesz
+        assert len(riesz) == d and spec.riesz is riesz
+        for mult, m in zip(riesz, spec.modes):
+            assert mult.tobytes() == np.where(nyquist, 0.0, -1j * m / nr).tobytes()
+            assert not mult.flags.writeable
+
 
 class TestVelocityField:
     def test_component_count(self):

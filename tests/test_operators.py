@@ -5,10 +5,9 @@ from hypothesis import given, strategies as st
 import direct_oracle
 import kernel_reference
 from direct_oracle import fractional_laplacian_direct
-from driftlab.grids import GridSpec, ScalarField, VelocityField, to_spectral
+from driftlab.grids import GridSpec, ScalarField, VelocityField, dealias_cutoff, to_spectral
 from driftlab.operators import (
     advect,
-    dealias_cutoff,
     fractional_laplacian_spectral,
     gradient,
     inner,

@@ -25,7 +25,6 @@ from driftlab.spaces import (
     lp_bands,
     make_test_function,
     max_band_level,
-    omega_weight,
     omega_weighted_mass,
     set_diagnostics_sink,
     shifted_pairings,
@@ -50,12 +49,6 @@ def weierstrass(grid, beta, levels=8):
 
 
 class TestOmega:
-    def test_pointwise(self):
-        assert omega_weight(0.3, 0.3) == 0.0
-        assert omega_weight(0.25, 0.0) == pytest.approx(0.5)
-        assert omega_weight(0.5, 0.0) == pytest.approx(OMEGA_PLATEAU)
-        assert omega_weight(0.9, 0.1) == pytest.approx(math.sqrt(0.2))
-
     def test_all_centers_matches_pointwise(self):
         g = GridSpec(d=2, N=16)
         f = _rand_field(g, 0)
