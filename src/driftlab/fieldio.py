@@ -1,10 +1,18 @@
 """Persistence: torusfield snapshots, CSV time series, JSON reports, and
-the run manifest."""
+the run manifest.
+
+A snapshot is one ASCII header line ``torusfield v2 d=<d> N=<N>`` and then
+the N^d values as little-endian IEEE-754 float64 in C row-major order,
+with nothing after them: the values are stored as they are, so a round
+trip keeps every bit.  ``load_field`` also reads the older text format
+``torusfield v1``, one ``%.17g`` value per line, which round-trips too.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -15,46 +23,80 @@ from . import __version__
 from .grids import GridSpec, ScalarField
 
 SNAPSHOT_MAGIC = "torusfield"
-SNAPSHOT_VERSION = "v1"
+SNAPSHOT_VERSION = "v2"
+SNAPSHOT_VERSIONS = ("v1", "v2")
+SNAPSHOT_DTYPE = np.dtype("<f8")
+# longer than any header line that names a valid grid
+_HEADER_MAX_BYTES = 128
 SERIES_HEADER = "step,t,linf,l1,l2,mean,bmo_u,beta_hat"
 SERIES_COLUMNS = SERIES_HEADER.split(",")
 
 
 def save_field(f: ScalarField, path) -> None:
-    """Write the snapshot format: one header line, then the values in
-    row-major order at full round-trip precision, one per line.
+    """Write a v2 snapshot: the header line, then the values' buffer as one
+    write (no copy of the values on a little-endian host)."""
+    values = np.ascontiguousarray(f.values, dtype=SNAPSHOT_DTYPE)
+    with Path(path).open("wb") as out:
+        out.write(f"{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} d={f.grid.d} N={f.grid.N}\n".encode())
+        out.write(values)
 
-    Written a row of N values at a time with one ``%`` format, which gives
-    the bytes of ``f"{v:.17g}"`` for every float.
-    """
-    N = f.grid.N
-    row_format = "%.17g\n" * N
-    with Path(path).open("w") as out:
-        out.write(f"{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} d={f.grid.d} N={N}\n")
-        for row in f.values.reshape(-1, N):
-            out.write(row_format % tuple(row.tolist()))
+
+def _read_header(path: Path, fh) -> tuple[str, GridSpec]:
+    """The version token and grid of the header line at the start of ``fh``."""
+    line = fh.readline(_HEADER_MAX_BYTES)
+    try:
+        tokens = line.decode("ascii").split() if line.endswith(b"\n") else []
+    except UnicodeDecodeError:
+        tokens = []
+    if (
+        len(tokens) != 4
+        or tokens[0] != SNAPSHOT_MAGIC
+        or tokens[1] not in SNAPSHOT_VERSIONS
+        or not tokens[2].startswith("d=")
+        or not tokens[3].startswith("N=")
+    ):
+        raise ValueError(
+            f"{path}: not a {SNAPSHOT_MAGIC} file (header {SNAPSHOT_MAGIC} v1|v2 d=<d> N=<N>)"
+        )
+    try:
+        grid = GridSpec(d=int(tokens[2][2:]), N=int(tokens[3][2:]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed snapshot header: {exc}") from exc
+    return tokens[1], grid
 
 
 def load_field(path) -> ScalarField:
+    """Read a v2 (binary) or v1 (text) snapshot, keeping every bit."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"snapshot file not found: {path}")
-    tokens = path.read_text().split()
-    if len(tokens) < 4 or tokens[0] != SNAPSHOT_MAGIC or tokens[1] != SNAPSHOT_VERSION:
-        raise ValueError(f"{path}: not a {SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} file")
+    if not path.is_file():
+        what = "is not a regular file" if path.exists() else "not found"
+        raise FileNotFoundError(f"snapshot file {what}: {path}")
+    with path.open("rb") as fh:
+        version, grid = _read_header(path, fh)
+        if version == "v2":
+            payload = os.fstat(fh.fileno()).st_size - fh.tell()
+            expected = grid.size * SNAPSHOT_DTYPE.itemsize
+            if payload != expected:
+                raise ValueError(
+                    f"{path}: expected {grid.size} values ({expected} bytes) for "
+                    f"d={grid.d} N={grid.N}, found {payload} bytes"
+                )
+            values = np.fromfile(fh, dtype=SNAPSHOT_DTYPE, count=grid.size)
+        else:
+            try:
+                data = fh.read().decode().split()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: snapshot values are not text: {exc}") from exc
+            if len(data) != grid.size:
+                raise ValueError(
+                    f"{path}: expected {grid.size} values for d={grid.d} N={grid.N}, "
+                    f"found {len(data)}"
+                )
+            values = np.array(data, dtype=float)
     try:
-        d = int(tokens[2].removeprefix("d="))
-        N = int(tokens[3].removeprefix("N="))
+        return ScalarField.adopt(grid, values.reshape(grid.shape))
     except ValueError as exc:
-        raise ValueError(f"{path}: malformed snapshot header") from exc
-    grid = GridSpec(d=d, N=N)
-    data = tokens[4:]
-    if len(data) != grid.size:
-        raise ValueError(
-            f"{path}: expected {grid.size} values for d={d} N={N}, found {len(data)}"
-        )
-    values = np.array(data, dtype=float).reshape(grid.shape)
-    return ScalarField.adopt(grid, values)
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _cell(value) -> str:

@@ -4,6 +4,7 @@ used to probe Holder regularity by pairing."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -143,9 +144,6 @@ def holder_seminorm_decimated(f: ScalarField, beta: float) -> float:
 # ---------------------------------------------------------------------------
 # Littlewood-Paley bands
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
-
-
 def _bump(t: np.ndarray) -> np.ndarray:
     out = np.zeros_like(t)
     interior = np.abs(t) < 1.0
@@ -154,7 +152,14 @@ def _bump(t: np.ndarray) -> np.ndarray:
     return out
 
 
-_BUMP_TOTAL = float(np.sum(_GL_WEIGHTS * _bump(_GL_NODES)))
+@functools.cache
+def _gauss_legendre_bump():
+    """The 96-node Gauss-Legendre rule on (-1, 1) and the bump's integral
+    under it, built on the first ``smooth_cutoff`` call: a command that
+    takes no LP band does not import ``numpy.polynomial``."""
+    nodes, weights = np.polynomial.legendre.leggauss(96)
+    return nodes, weights, float(np.sum(weights * _bump(nodes)))
+
 
 # bridge radii per Gauss-Legendre evaluation: bounds its (radii x nodes)
 # temporaries at 256 x 96 floats
@@ -174,14 +179,15 @@ def smooth_cutoff(xi) -> np.ndarray:
     bridge = (a > 1.0) & (a < 2.0)
     if np.any(bridge):
         t = 2.0 * (a[bridge] - 1.0) - 1.0
+        nodes, weights, total = _gauss_legendre_bump()
         vals = np.empty_like(t)
         for lo in range(0, t.size, _BRIDGE_CHUNK):
             tc = t[lo : lo + _BRIDGE_CHUNK]
             # integral of the bump over (t, 1), Gauss-Legendre on the mapped interval
             half = (1.0 - tc) / 2.0
-            s = half[:, None] * (_GL_NODES[None, :] + 1.0) + tc[:, None]
-            vals[lo : lo + _BRIDGE_CHUNK] = np.sum(_GL_WEIGHTS[None, :] * _bump(s), axis=1) * half
-        out[bridge] = vals / _BUMP_TOTAL
+            s = half[:, None] * (nodes[None, :] + 1.0) + tc[:, None]
+            vals[lo : lo + _BRIDGE_CHUNK] = np.sum(weights[None, :] * _bump(s), axis=1) * half
+        out[bridge] = vals / total
     return out
 
 

@@ -18,6 +18,24 @@ def _write_cfg(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def _edge_values(grid, rng):
+    """Standard normals whose first entries are the float64 edge cases:
+    signed zeros, subnormals, the smallest normal, the largest finite."""
+    v = rng.standard_normal(grid.size)
+    big, tiny = np.finfo(float).max, np.finfo(float).tiny
+    edge = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, tiny, -tiny, big, -big, 1 / 3, 0.1]
+    v[: len(edge)] = edge
+    return v
+
+
+def _write_v1(path, grid, values):
+    """A v1 (text) snapshot as it was written: the header, then one
+    ``{v:.17g}`` line per value in row-major order."""
+    lines = [f"torusfield v1 d={grid.d} N={grid.N}"]
+    lines += [f"{x:.17g}" for x in np.asarray(values, dtype=float).reshape(-1)]
+    path.write_bytes(("\n".join(lines) + "\n").encode())
+
+
 class TestSnapshotFormat:
     def test_roundtrip_exact(self, tmp_path):
         f = random_band_limited(GridSpec(d=2, N=16), 4, seed=9)
@@ -31,12 +49,42 @@ class TestSnapshotFormat:
         f = ScalarField.constant(GridSpec(d=1, N=8), 1.5)
         path = tmp_path / "f.tf"
         fieldio.save_field(f, path)
-        assert path.read_text().splitlines()[0] == "torusfield v1 d=1 N=8"
+        assert path.read_bytes().split(b"\n", 1)[0] == b"torusfield v2 d=1 N=8"
+        # a hand-written v1 header still gives its grid
+        _write_v1(tmp_path / "g.tf", GridSpec(d=2, N=8), np.zeros(64))
+        assert fieldio.load_field(tmp_path / "g.tf").grid == GridSpec(d=2, N=8)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "junk.tf"
         path.write_text("sphericalfield v1 d=1 N=8\n0\n")
         with pytest.raises(ValueError, match="torusfield"):
+            fieldio.load_field(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"torusfield v3 d=1 N=8\n",
+            b"torusfield v2 d=1\n",
+            b"torusfield v2 d=1 N=8 extra\n",
+            b"torusfield v2 dim=1 N=8\n",
+            b"torusfield v2 d=1 N=8",
+            b"torusfield\xff v1 d=1 N=8\n",
+            b"\x00" * 200,
+            b"",
+        ],
+    )
+    def test_malformed_headers_name_the_file(self, tmp_path, header):
+        path = tmp_path / "odd.tf"
+        path.write_bytes(header + np.zeros(8).tobytes())
+        with pytest.raises(ValueError, match="odd.tf.*torusfield"):
+            fieldio.load_field(path)
+
+    @pytest.mark.parametrize("header", [b"torusfield v2 d=3 N=8\n", b"torusfield v1 d=1 N=12\n",
+                                        b"torusfield v2 d=one N=8\n"])
+    def test_header_grid_checked(self, tmp_path, header):
+        path = tmp_path / "grid.tf"
+        path.write_bytes(header)
+        with pytest.raises(ValueError, match="grid.tf: malformed snapshot header"):
             fieldio.load_field(path)
 
     def test_truncated_rejected(self, tmp_path):
@@ -49,36 +97,168 @@ class TestSnapshotFormat:
         with pytest.raises(FileNotFoundError):
             fieldio.load_field("/nonexistent/f.tf")
 
+    def test_directory_rejected(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="not a regular file.*" + tmp_path.name):
+            fieldio.load_field(tmp_path)
+
+    def test_non_finite_values_name_the_file(self, tmp_path):
+        path = tmp_path / "nan.tf"
+        v = np.zeros(8)
+        v[3] = np.nan
+        path.write_bytes(b"torusfield v2 d=1 N=8\n" + v.astype("<f8").tobytes())
+        with pytest.raises(ValueError, match="nan.tf: field values must be finite"):
+            fieldio.load_field(path)
+
+    def test_v1_body_not_text_names_the_file(self, tmp_path):
+        path = tmp_path / "bin.tf"
+        path.write_bytes(b"torusfield v1 d=1 N=8\n" + b"\xff" * 64)
+        with pytest.raises(ValueError, match="bin.tf"):
+            fieldio.load_field(path)
+
+    # v1: the text snapshots written before v2, read back as they were
+
     @pytest.mark.parametrize("d, N", [(1, 16), (2, 8)])
     def test_bytes_of_the_per_value_formatter(self, tmp_path, d, N):
+        # the v1 file of a field, as its per-value formatter wrote it, loads
+        # to the field's bytes
         grid = GridSpec(d=d, N=N)
-        v = np.random.default_rng(3).standard_normal(grid.size)
-        edge = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e20, -1e20, 1e-20, -1e-20, 1 / 3]
-        v[: len(edge)] = edge
-        f = ScalarField(grid, v)
+        f = ScalarField(grid, _edge_values(grid, np.random.default_rng(3)))
         path = tmp_path / "f.tf"
-        fieldio.save_field(f, path)
+        _write_v1(path, grid, f.values)
         lines = [f"torusfield v1 d={d} N={N}"] + [f"{x:.17g}" for x in f.values.reshape(-1)]
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
         back = fieldio.load_field(path)
+        assert back.grid == grid
         assert back.values.tobytes() == f.values.tobytes()
 
     def test_parse_keeps_the_bits_of_edge_values(self, tmp_path):
         # the whole-array parse reads every value back as float() would
         grid = GridSpec(d=2, N=64)
         rng = np.random.default_rng(5)
-        v = rng.standard_normal(grid.size) * 10.0 ** rng.uniform(-320, 300, grid.size)
-        big, tiny = np.finfo(float).max, np.finfo(float).tiny
-        edge = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, tiny, -tiny, big, -big,
-                np.nextafter(1.0, 2.0), 1 / 3, 0.1]
-        v[: len(edge)] = edge
+        v = _edge_values(grid, rng) * np.where(
+            np.arange(grid.size) < 12, 1.0, 10.0 ** rng.uniform(-320, 300, grid.size)
+        )
+        v[12] = np.nextafter(1.0, 2.0)
         f = ScalarField(grid, v)
         path = tmp_path / "f.tf"
-        fieldio.save_field(f, path)
+        _write_v1(path, grid, f.values)
         back = fieldio.load_field(path)
         assert back.values.tobytes() == f.values.tobytes()
         tokens = path.read_text().split()[4:]
         assert back.values.tobytes() == np.array([float(t) for t in tokens]).tobytes()
+
+    # v2: the header line, then the float64 values as they are
+
+    @pytest.mark.parametrize("d, N", [(1, 16), (2, 8)])
+    def test_v2_bytes(self, tmp_path, d, N):
+        grid = GridSpec(d=d, N=N)
+        f = ScalarField(grid, _edge_values(grid, np.random.default_rng(4)))
+        path = tmp_path / "f.tf"
+        fieldio.save_field(f, path)
+        header = f"torusfield v2 d={d} N={N}\n".encode()
+        assert path.read_bytes() == header + f.values.astype("<f8").tobytes()
+        assert path.stat().st_size == len(header) + 8 * N**d
+
+    def test_v2_roundtrip_keeps_the_bits_of_edge_values(self, tmp_path):
+        grid = GridSpec(d=2, N=64)
+        rng = np.random.default_rng(6)
+        v = _edge_values(grid, rng) * np.where(
+            np.arange(grid.size) < 12, 1.0, 10.0 ** rng.uniform(-320, 300, grid.size)
+        )
+        f = ScalarField(grid, v)
+        path = tmp_path / "f.tf"
+        fieldio.save_field(f, path)
+        back = fieldio.load_field(path)
+        assert back.grid == grid
+        assert back.values.tobytes() == f.values.tobytes()
+        assert not back.values.flags.writeable
+
+    @pytest.mark.parametrize("extra", [-8, -1, 1, 8])
+    def test_v2_payload_length_checked(self, tmp_path, extra):
+        f = random_band_limited(GridSpec(d=2, N=8), 2, seed=1)
+        path = tmp_path / "f.tf"
+        fieldio.save_field(f, path)
+        data = path.read_bytes()
+        path.write_bytes(data[:extra] if extra < 0 else data + b"\0" * extra)
+        with pytest.raises(ValueError, match="f.tf: expected 64 values"):
+            fieldio.load_field(path)
+
+    @pytest.mark.parametrize("d, N", [(1, 64), (2, 32)])
+    def test_v1_and_v2_load_to_the_same_bytes(self, tmp_path, d, N):
+        grid = GridSpec(d=d, N=N)
+        f = ScalarField(grid, _edge_values(grid, np.random.default_rng(7)))
+        _write_v1(tmp_path / "v1.tf", grid, f.values)
+        fieldio.save_field(f, tmp_path / "v2.tf")
+        a = fieldio.load_field(tmp_path / "v1.tf")
+        b = fieldio.load_field(tmp_path / "v2.tf")
+        assert a.grid == b.grid == grid
+        assert a.values.tobytes() == b.values.tobytes() == f.values.tobytes()
+
+
+class TestSnapshotCompatibility:
+    """A v1 file and a v2 file of one field give the same outputs in every
+    command input that reads a snapshot.  The field is a random profile in
+    x2 alone, so that it is also the first component of a divergence-free
+    drift."""
+
+    GRID = GridSpec(d=2, N=32)
+
+    @pytest.fixture
+    def snapshots(self, tmp_path):
+        profile = random_band_limited(GridSpec(d=1, N=32), 4, seed=11).values
+        f = ScalarField(self.GRID, np.broadcast_to(profile[None, :], self.GRID.shape))
+        v1, v2 = tmp_path / "f_v1.tf", tmp_path / "f_v2.tf"
+        _write_v1(v1, self.GRID, f.values)
+        fieldio.save_field(f, v2)
+        assert v1.read_bytes()[:13] == b"torusfield v1"
+        assert v2.read_bytes()[:13] == b"torusfield v2"
+        return {"v1": v1, "v2": v2}
+
+    @staticmethod
+    def _outputs(out):
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+
+    def test_diagnose_every_norm(self, tmp_path, snapshots):
+        docs = {}
+        for tag, snap in snapshots.items():
+            cfg = _write_cfg(
+                tmp_path,
+                f"diagnose.field = {snap}\ndiagnose.norms = norms,bmo,lp,holder,class\n",
+                name=f"{tag}.cfg",
+            )
+            out = tmp_path / f"d_{tag}"
+            assert cli.main(["diagnose", "--config", cfg, "--out", str(out)]) == 0
+            text = (out / "diagnose.json").read_text()
+            assert json.loads(text)["field"] == str(snap)
+            docs[tag] = text.replace(json.dumps(str(snap)), '"<field>"')
+        assert docs["v1"] == docs["v2"]
+        assert set(json.loads(docs["v1"])) >= {"norms", "bmo", "lp", "holder", "class"}
+
+    @pytest.mark.parametrize("use", ["initial", "velocity"])
+    def test_simulate_from_a_snapshot(self, tmp_path, snapshots, use):
+        zero = tmp_path / "zero.tf"
+        fieldio.save_field(ScalarField.constant(self.GRID, 0.0), zero)
+        outputs = {}
+        for tag, snap in snapshots.items():
+            if use == "initial":
+                text = f"initial.kind = file\ninitial.file = {snap}\n"
+            else:
+                text = (
+                    f"velocity.kind = file\nvelocity.file = {snap},{zero}\n"
+                    "initial.kind = cosine\n"
+                )
+            cfg = _write_cfg(
+                tmp_path,
+                "grid.d = 2\ngrid.N = 32\ntime.dt = 0.001\ntime.T = 0.006\n"
+                "output.cadence = 2\n" + text,
+                name=f"{tag}.cfg",
+            )
+            out = tmp_path / f"run_{tag}"
+            assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+            outputs[tag] = self._outputs(out)
+        snaps = [f"snap_{step}.tf" for step in (0, 2, 4, 6)]
+        assert sorted(outputs["v1"]) == ["series.csv", *snaps]
+        assert outputs["v1"] == outputs["v2"]
 
 
 class TestConfigParsing:
@@ -385,6 +565,20 @@ class TestDiagnoseCommand:
         )
         assert cli.main(["diagnose", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
         assert "bmo" in capsys.readouterr().err
+
+    def test_snapshot_path_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, f"diagnose.field = {tmp_path}\ndiagnose.norms = norms\n")
+        assert cli.main(["diagnose", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert "not a regular file" in err and str(tmp_path) in err
+
+    def test_non_ascii_header_exits_2(self, tmp_path, capsys):
+        snap = tmp_path / "latin.tf"
+        snap.write_bytes("torusfield v1 d=1 N=8 \u00e9\n".encode("latin-1") + b"0\n" * 8)
+        cfg = _write_cfg(tmp_path, f"diagnose.field = {snap}\ndiagnose.norms = norms\n")
+        assert cli.main(["diagnose", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert "latin.tf" in err and "torusfield" in err
 
     @pytest.mark.parametrize("beta", ["0.7", "0", "nan"])
     def test_holder_beta_checked_before_any_norm(self, tmp_path, capsys, beta):

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,8 @@ from hypothesis import given, strategies as st
 import fullspectrum_reference
 import kernel_reference
 from fullspectrum_reference import mode_radius
-from driftlab import _kernels
+import driftlab
+from driftlab import _kernels, spaces
 from driftlab.grids import GridSpec, ScalarField
 from driftlab.operators import inner, near_delta_bump, norms, random_band_limited
 from driftlab.spaces import (
@@ -239,6 +244,30 @@ class TestLittlewoodPaley:
             got, ref = smooth_cutoff(xi), kernel_reference.smooth_cutoff_oneshot(xi)
             assert got.shape == ref.shape == np.shape(xi)
             assert got.tobytes() == ref.tobytes()
+
+    def test_cutoff_builds_its_rule_on_first_use(self):
+        # the Gauss-Legendre rule is built by the first bridge evaluation and
+        # gives the bytes of the rule that kernel_reference builds at import
+        spaces._gauss_legendre_bump.cache_clear()
+        xi = np.linspace(0.5, 2.5, 1001)
+        first = smooth_cutoff(xi)
+        assert spaces._gauss_legendre_bump.cache_info().misses == 1
+        assert first.tobytes() == kernel_reference.smooth_cutoff_oneshot(xi).tobytes()
+        assert smooth_cutoff(xi).tobytes() == first.tobytes()
+        assert spaces._gauss_legendre_bump.cache_info().misses == 1
+        nodes, weights = np.polynomial.legendre.leggauss(96)
+        cached = spaces._gauss_legendre_bump()
+        assert cached[0].tobytes() == nodes.tobytes()
+        assert cached[1].tobytes() == weights.tobytes()
+        assert cached[2] == kernel_reference._BUMP_TOTAL
+
+    def test_importing_the_cli_builds_no_quadrature(self):
+        src = str(Path(driftlab.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, driftlab.cli; print('numpy.polynomial' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == "False"
 
     def test_bands_telescope_to_identity(self):
         g = GridSpec(d=1, N=128)
