@@ -32,27 +32,31 @@ def _config_help() -> str:
     return "\n".join(lines)
 
 
+COMMAND_HELP = {
+    "simulate": "run the forward evolution and write series + snapshots",
+    "dual": "run the dual (time-reversed drift) evolution with class tracking",
+    "diagnose": "compute norms and estimators for a snapshot file",
+    "verify": "run verification suites and write JSON reports",
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """One parser: the command is a positional choice and every command
+    takes the same four options."""
+    commands = "\n".join(f"  {name:<10}{desc}" for name, desc in COMMAND_HELP.items())
     parser = argparse.ArgumentParser(
         prog="driftlab",
         description="Simulation and verification laboratory for critical "
-        "drift-diffusion on the periodic torus.",
+        f"drift-diffusion on the periodic torus.\n\ncommands:\n{commands}",
         epilog=_config_help(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "simulate": "run the forward evolution and write series + snapshots",
-        "dual": "run the dual (time-reversed drift) evolution with class tracking",
-        "diagnose": "compute norms and estimators for a snapshot file",
-        "verify": "run verification suites and write JSON reports",
-    }
-    for name, desc in specs.items():
-        p = sub.add_parser(name, help=desc, description=desc)
-        p.add_argument("--config", default=None, help="configuration file path")
-        p.add_argument("--out", default="out", help="output directory [out]")
-        p.add_argument("--jobs", type=int, default=1, help="parallel suite workers [1]")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("command", choices=tuple(COMMAND_HELP), metavar="command",
+                        help="one of the commands above")
+    parser.add_argument("--config", default=None, help="configuration file path")
+    parser.add_argument("--out", default="out", help="output directory [out]")
+    parser.add_argument("--jobs", type=int, default=1, help="parallel suite workers [1]")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
 
 

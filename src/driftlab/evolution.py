@@ -507,7 +507,8 @@ def run_dual(
     ch = plan.forward(phi.values)
     s = 0.0
     states = [DualState(horizon=horizon, s=0.0, phi=phi, step=0)]
-    svals, l1s, linfs, means = [0.0], [norms(phi).l1], [norms(phi).linf], [phi.mean()]
+    rec = norms(phi)
+    svals, l1s, linfs, means = [0.0], [rec.l1], [rec.linf], [phi.mean()]
     for step in range(1, nsteps + 1):
         u0 = history.velocity_at(horizon - s)
         _check_cfl(grid, dt, u0.max_norm(), step, s + dt)

@@ -145,11 +145,9 @@ def holder_seminorm_decimated(f: ScalarField, beta: float) -> float:
 # Littlewood-Paley bands
 
 def _bump(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    interior = np.abs(t) < 1.0
-    ti = t[interior]
-    out[interior] = np.exp(1.0 - 1.0 / (1.0 - ti**2))
-    return out
+    # the exterior (|t| >= 1) divides by zero or overflows; np.where drops it
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(np.abs(t) < 1.0, np.exp(1.0 - 1.0 / (1.0 - t**2)), 0.0)
 
 
 @functools.cache
@@ -161,8 +159,8 @@ def _gauss_legendre_bump():
     return nodes, weights, float(np.sum(weights * _bump(nodes)))
 
 
-# bridge radii per Gauss-Legendre evaluation: bounds its (radii x nodes)
-# temporaries at 256 x 96 floats
+# bridge arguments per Gauss-Legendre evaluation: bounds its (arguments x
+# nodes) temporaries at 256 x 96 floats
 _BRIDGE_CHUNK = 256
 
 
@@ -171,14 +169,15 @@ def smooth_cutoff(xi) -> np.ndarray:
 
     The bridge is the normalized tail integral of the standard bump
     exp(1 - 1/(1-t^2)) on (-1, 1), with t = 2(|xi|-1) - 1.  It is
-    evaluated _BRIDGE_CHUNK radii at a time; each radius is its own row
-    sum, so the chunking does not change a bit.
+    evaluated once per distinct |xi|, _BRIDGE_CHUNK arguments at a time;
+    each argument is its own row sum, so neither changes a bit.
     """
     a = np.abs(np.asarray(xi, dtype=float))
     out = np.where(a <= 1.0, 1.0, 0.0)
     bridge = (a > 1.0) & (a < 2.0)
     if np.any(bridge):
-        t = 2.0 * (a[bridge] - 1.0) - 1.0
+        args, which = np.unique(a[bridge], return_inverse=True)
+        t = 2.0 * (args - 1.0) - 1.0
         nodes, weights, total = _gauss_legendre_bump()
         vals = np.empty_like(t)
         for lo in range(0, t.size, _BRIDGE_CHUNK):
@@ -187,22 +186,33 @@ def smooth_cutoff(xi) -> np.ndarray:
             half = (1.0 - tc) / 2.0
             s = half[:, None] * (nodes[None, :] + 1.0) + tc[:, None]
             vals[lo : lo + _BRIDGE_CHUNK] = np.sum(weights[None, :] * _bump(s), axis=1) * half
-        out[bridge] = vals / total
+        out[bridge] = (vals / total)[which]
     return out
 
 
 def _band_multipliers(grid: GridSpec, j_min: int, j_max: int):
     """Half-spectrum multipliers of the bands j_min..j_max, in order.
 
-    Each cutoff level eta(|n| / 2^l) is evaluated once, at the distinct
-    mode radii of the half spectrum, and spread over its modes by index.
+    The cutoff eta(|n| / 2^l) of level l is 1 up to |n| = 2^l and 0 from
+    2^(l+1) on; over the sorted distinct mode radii of the half spectrum,
+    its bridge in between is one run.  The bridge arguments of every level
+    l = j_min-1..j_max go through one ``smooth_cutoff`` call, which
+    evaluates an argument shared by several levels once; each band is
+    spread over its modes by index.
     """
     spec = half_spectrum(grid)
     radii, inverse = np.unique(spec.radius, return_inverse=True)
     inverse = inverse.reshape(spec.shape)
-    lower = smooth_cutoff(radii / 2.0 ** (j_min - 1))
-    for j in range(j_min, j_max + 1):
-        upper = smooth_cutoff(radii / 2.0**j)
+    levels = range(j_min - 1, j_max + 1)
+    runs = [(np.searchsorted(radii, 2.0**l, side="right"), np.searchsorted(radii, 2.0 ** (l + 1)))
+            for l in levels]
+    args = [radii[lo:hi] / 2.0**l for l, (lo, hi) in zip(levels, runs)]
+    bridge = smooth_cutoff(np.concatenate(args))
+    pieces = np.split(bridge, np.cumsum([hi - lo for lo, hi in runs])[:-1])
+    cuts = (np.concatenate([np.ones(lo), piece, np.zeros(radii.size - hi)])
+            for (lo, hi), piece in zip(runs, pieces))
+    lower = next(cuts)
+    for upper in cuts:
         yield (upper - lower)[inverse]
         lower = upper
 
@@ -228,7 +238,11 @@ def _iter_bands(f: ScalarField, j_min: int, j_max: int):
     spec = half_spectrum(f.grid)
     ch = spec.forward(f.values)
     for j, mult in zip(range(j_min, j_max + 1), _band_multipliers(f.grid, j_min, j_max)):
-        band = ScalarField.adopt(f.grid, spec.inverse(ch * mult))
+        # band j is zero from last-axis mode n_d = 2^(j+1) on, and the
+        # inverse zero-pads the columns it is not given: the columns below
+        # that give the full inverse's bits
+        cols = (Ellipsis, slice(0, min(2 ** (j + 1), f.grid.N // 2 + 1)))
+        band = ScalarField.adopt(f.grid, spec.inverse(ch[cols] * mult[cols]))
         yield LPBand(j=j, field=band, sup=float(np.max(np.abs(band.values))))
 
 

@@ -5,8 +5,10 @@ the smooth cutoff as it was before its bridge was evaluated in chunks;
 the windowed BMO kernel as it was before the per-offset sums and the
 complement of large balls; the per-offset kernel as it was before the
 gathered sums and the pruned max, with its scan over every radius and
-center; and the element-by-element loops of the singular lattice sum and
-the Holder pair max.
+center; the element-by-element loops of the singular lattice sum and
+the Holder pair max; and the band multipliers and band fields as they were
+before the cutoff bridge was evaluated once per distinct argument and each
+band was transformed over its nonzero columns only.
 
 Kept only as numerical references for tests/test_kernels.py,
 tests/test_operators.py, tests/test_spaces.py and tests/test_verification.py;
@@ -21,6 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from driftlab._kernels import ball_offsets, periodic_correlation
+from driftlab.grids import half_spectrum
 from driftlab.spaces import max_band_level
 from fullspectrum_reference import band_multiplier
 
@@ -321,3 +324,64 @@ def holder_from_lp(f, noise_floor_factor: float = 1e-12):
     js = np.array([j for j, _ in usable], dtype=float)
     slope, _ = np.polyfit(js, np.log([s for _, s in usable]), 1)
     return float(-slope / math.log(2.0)), tuple(j for j, _ in usable), tuple(s for _, s in usable)
+
+
+# ---------------------------------------------------------------------------
+# Littlewood-Paley bands on the half spectrum: one smooth_cutoff call per
+# level (its bridge in chunks of 256 radii, the bump by gather and
+# scatter), every band inverted over all N/2 + 1 last-axis columns
+
+_BRIDGE_CHUNK = 256
+
+
+def smooth_cutoff_chunked(xi):
+    a = np.abs(np.asarray(xi, dtype=float))
+    out = np.where(a <= 1.0, 1.0, 0.0)
+    bridge = (a > 1.0) & (a < 2.0)
+    if np.any(bridge):
+        t = 2.0 * (a[bridge] - 1.0) - 1.0
+        vals = np.empty_like(t)
+        for lo in range(0, t.size, _BRIDGE_CHUNK):
+            tc = t[lo : lo + _BRIDGE_CHUNK]
+            half = (1.0 - tc) / 2.0
+            s = half[:, None] * (_GL_NODES[None, :] + 1.0) + tc[:, None]
+            vals[lo : lo + _BRIDGE_CHUNK] = np.sum(_GL_WEIGHTS[None, :] * _bump(s), axis=1) * half
+        out[bridge] = vals / _BUMP_TOTAL
+    return out
+
+
+def band_multipliers_per_level(grid, j_min: int, j_max: int) -> list:
+    """Half-spectrum multipliers of the bands j_min..j_max, in order."""
+    spec = half_spectrum(grid)
+    radii, inverse = np.unique(spec.radius, return_inverse=True)
+    inverse = inverse.reshape(spec.shape)
+    out = []
+    lower = smooth_cutoff_chunked(radii / 2.0 ** (j_min - 1))
+    for j in range(j_min, j_max + 1):
+        upper = smooth_cutoff_chunked(radii / 2.0**j)
+        out.append((upper - lower)[inverse])
+        lower = upper
+    return out
+
+
+def band_fields_full_columns(f, j_min: int, j_max: int) -> list:
+    """(j, band values, band sup) of the bands j_min..j_max, each inverted
+    from the whole half spectrum."""
+    spec = half_spectrum(f.grid)
+    ch = spec.forward(f.values)
+    out = []
+    for j, mult in zip(range(j_min, j_max + 1), band_multipliers_per_level(f.grid, j_min, j_max)):
+        band = spec.inverse(ch * mult)
+        out.append((j, band, float(np.max(np.abs(band)))))
+    return out
+
+
+def holder_from_lp_full_columns(f, noise_floor_factor: float = 1e-12):
+    """(beta, log_constant, levels, sups) of the band-decay fit."""
+    floor = noise_floor_factor * float(np.max(np.abs(f.values)))
+    bands = band_fields_full_columns(f, 0, max_band_level(f.grid))
+    usable = [(j, s) for j, _, s in bands if s > floor]
+    js = np.array([j for j, _ in usable], dtype=float)
+    slope, intercept = np.polyfit(js, np.log([s for _, s in usable]), 1)
+    return (float(-slope / math.log(2.0)), float(intercept),
+            tuple(int(j) for j, _ in usable), tuple(float(s) for _, s in usable))

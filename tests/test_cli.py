@@ -635,3 +635,35 @@ class TestVerifyCommand:
             (outs[0] / "report_l1_single_mode.json").read_bytes()
             == (outs[1] / "report_l1_single_mode.json").read_bytes()
         )
+
+
+class TestCommandLine:
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for name, desc in cli.COMMAND_HELP.items():
+            assert any(line.split() == [name, *desc.split()] for line in out.splitlines())
+
+    def test_command_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["diagnose", "--help"])
+        assert exc.value.code == 0
+        assert "diagnose" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [[], ["--out", "o"], ["bogus"], ["Diagnose"]],
+                             ids=["none", "options-only", "unknown", "case"])
+    def test_missing_or_unknown_command_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "command" in capsys.readouterr().err
+
+    def test_options_follow_or_precede_the_command(self):
+        parser = cli._build_parser()
+        after = parser.parse_args(["verify", "--config", "c.cfg", "--jobs", "2", "--seed", "3"])
+        before = parser.parse_args(["--config", "c.cfg", "--jobs", "2", "verify", "--seed", "3"])
+        assert vars(after) == vars(before) == {
+            "command": "verify", "config": "c.cfg", "out": "out", "jobs": 2, "seed": 3,
+        }

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +316,76 @@ class TestLittlewoodPaley:
         for j in range(max_band_level(g) + 1):
             full = kernel_reference.band_multiplier(g, j)
             assert np.array_equal(band_multiplier(g, j), full[..., : N // 2 + 1])
+
+    # the grids and level ranges of the frozen band tests: every level, one
+    # level at a time (make_test_function's band_multiplier), and 3..5
+    BAND_GRIDS = [(1, 16), (1, 64), (1, 1024), (2, 16), (2, 32), (2, 128), (2, 256)]
+
+    @pytest.mark.parametrize("d,N", BAND_GRIDS)
+    def test_band_multipliers_match_frozen_bits(self, d, N):
+        g = GridSpec(d=d, N=N)
+        jmax = max_band_level(g)
+        ranges = [(0, jmax), (3, 5)] + [(j, j) for j in range(jmax + 1)]
+        for j_min, j_max in ranges:
+            got = list(spaces._band_multipliers(g, j_min, j_max))
+            ref = kernel_reference.band_multipliers_per_level(g, j_min, j_max)
+            assert len(got) == len(ref) == j_max - j_min + 1
+            for a, b in zip(got, ref):
+                assert a.tobytes() == b.tobytes()
+        for j in range(jmax + 1):
+            ref = kernel_reference.band_multipliers_per_level(g, j, j)[0]
+            assert band_multiplier(g, j).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("d,N", BAND_GRIDS)
+    def test_band_fields_and_fit_match_frozen_bits(self, d, N):
+        # each band inverted over its nonzero columns gives the bytes of the
+        # band inverted over all N/2 + 1 of them
+        g = GridSpec(d=d, N=N)
+        jmax = max_band_level(g)
+        fields = [random_band_limited(g, band=min(8 if d == 2 else 16, N // 4), seed=21),
+                  _rand_field(g, 22)]
+        if d == 2:
+            bump = near_delta_bump(g, width=0.02).values
+            fields.append(ScalarField(g, np.roll(bump, (N // 3, N // 5), axis=(0, 1))))
+        for f in fields:
+            for j_min, j_max in [(0, jmax), (1, jmax - 1), (jmax, jmax)]:
+                got = lp_bands(f, j_min, j_max)
+                ref = kernel_reference.band_fields_full_columns(f, j_min, j_max)
+                assert [b.j for b in got] == [j for j, _, _ in ref]
+                for band, (_, values, sup) in zip(got, ref):
+                    assert band.field.values.tobytes() == values.tobytes()
+                    assert band.sup == sup
+            if jmax + 1 >= 4:
+                fit = holder_from_lp(f)
+                beta, log_constant, levels, sups = kernel_reference.holder_from_lp_full_columns(f)
+                assert fit.beta == beta and fit.log_constant == log_constant
+                assert fit.levels == levels and fit.sups == sups
+
+    def test_cutoff_edge_arguments_match_frozen_bits(self):
+        # the plateau ends, the bridge arguments next to them, and one whose
+        # quadrature points round to s = 1, where the bump's exterior
+        # branch divides by zero: masked, and silent
+        last = np.nextafter(2.0, 1.0)
+        t = 2.0 * (last - 1.0) - 1.0
+        nodes = spaces._gauss_legendre_bump()[0]
+        assert np.any((1.0 - t) / 2.0 * (nodes + 1.0) + t == 1.0)
+        xi = np.array([1.0, 2.0, np.nextafter(1.0, 2.0), last, -last, 1.5, 0.0, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [smooth_cutoff(x) for x in xi] + [smooth_cutoff(xi)]
+        ref = [kernel_reference.smooth_cutoff_chunked(x) for x in xi]
+        ref.append(kernel_reference.smooth_cutoff_chunked(xi))
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert got[-1][:2].tolist() == [1.0, 0.0]
+
+    def test_bump_matches_frozen_bits_without_warnings(self):
+        s = np.concatenate([np.linspace(-1.5, 1.5, 3001), [-1.0, 1.0, np.nextafter(1.0, 0.0),
+                                                         np.nextafter(-1.0, 0.0), 1e300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = spaces._bump(s)
+        assert got.tobytes() == kernel_reference._bump(s).tobytes()
 
     def test_holder_from_lp_needs_usable_bands(self):
         g = GridSpec(d=1, N=64)
