@@ -7,7 +7,9 @@
   covers most of the torus is summed over its complement.  The max over
   radii and centers sums only the balls whose Cauchy-Schwarz bound (the
   L2 oscillation, from one more correlation) can beat the best value
-  found, largest bound first, which leaves the float unchanged.
+  found, largest bound first, which leaves the float unchanged.  A
+  ball's offsets and indicator spectrum are built on its first use and
+  kept (``_ball_kernel``).
 * ``holder_pair_max``: the Holder quotient maximized over all grid pairs,
   one offset of each pair {z, -z} at a time, nearest first; the scan
   stops once the field's oscillation times the next offset's weight
@@ -21,6 +23,8 @@ in ``tests/direct_oracle.py`` and applies its lattice sum with
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -39,7 +43,20 @@ def offset_distance(d: int, N: int) -> np.ndarray:
 
 def periodic_correlation(f: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_z w[z] f(x + z) at every node x, from one real-FFT product."""
-    return _correlate(np.fft.rfftn(f), np.conj(np.fft.rfftn(w)), f.shape)
+    return correlate(f, correlation_weight(w))
+
+
+def correlation_weight(w: np.ndarray) -> np.ndarray:
+    """The conjugate ``rfftn`` of a correlation weight w, as ``correlate``
+    takes it: a weight that is correlated with many fields is transformed
+    once."""
+    return np.conj(np.fft.rfftn(w))
+
+
+def correlate(f: np.ndarray, w_conj: np.ndarray) -> np.ndarray:
+    """``periodic_correlation`` of f with the weight of ``w_conj``, its
+    ``correlation_weight``."""
+    return _correlate(np.fft.rfftn(f), w_conj, f.shape)
 
 
 def _correlate(spectrum: np.ndarray, w_conj: np.ndarray, shape) -> np.ndarray:
@@ -67,6 +84,18 @@ def _ball_indicator(shape, offsets) -> np.ndarray:
     ball = np.zeros(shape)
     ball[tuple(offsets)] = 1.0
     return ball
+
+
+@functools.lru_cache(maxsize=32)
+def _ball_kernel(d: int, N: int, radius: float):
+    """(offsets, ball_conj): the ``ball_offsets`` of a ball and the
+    ``correlation_weight`` of its indicator, built on the first use of the
+    ball and kept read-only."""
+    offsets = ball_offsets(d, N, radius)
+    ball_conj = correlation_weight(_ball_indicator((N,) * d, offsets))
+    for a in (*offsets, ball_conj):
+        a.setflags(write=False)
+    return offsets, ball_conj
 
 
 def _ball_means(spectrum: np.ndarray, ball_conj: np.ndarray, shape, m: int, stride: int):
@@ -109,7 +138,7 @@ def ball_deviation(values: np.ndarray, offsets, stride: int, dev, centers=None, 
     f = _centered(values)
     m = offsets[0].size
     if means is None:
-        ball_conj = np.conj(np.fft.rfftn(_ball_indicator(f.shape, offsets)))
+        ball_conj = correlation_weight(_ball_indicator(f.shape, offsets))
         means = _ball_means(np.fft.rfftn(f), ball_conj, f.shape, m, stride)
     a = means.reshape(-1) if centers is None else means.reshape(-1)[centers]
     total = np.zeros_like(a)
@@ -185,9 +214,8 @@ def ball_deviation_bounds(values: np.ndarray, radii, stride: int, dev) -> list:
     spectrum_sq = np.fft.rfftn(np.square(f / scale)) if bounded else None
     out = []
     for radius in radii:
-        offsets = ball_offsets(d, N, radius)
+        offsets, ball_conj = _ball_kernel(d, N, radius)
         m = offsets[0].size
-        ball_conj = np.conj(np.fft.rfftn(_ball_indicator(f.shape, offsets)))
         means = _ball_means(spectrum, ball_conj, f.shape, m, stride)
         if bounded:
             second = _ball_means(spectrum_sq, ball_conj, f.shape, m, stride)
@@ -225,14 +253,12 @@ def ball_deviation_max(values: np.ndarray, radii, stride: int, dev) -> float:
     sizes, means, bounds = zip(*ball_deviation_bounds(f, radii, stride, dev))
     n_centers = means[0].size
     bounds = np.concatenate([b.reshape(-1) for b in bounds])
-    offsets = {}  # built for the radii that are summed
     best = 0.0
 
     def visit(r, centers):
         nonlocal best
-        if r not in offsets:
-            offsets[r] = ball_offsets(d, N, radii[r])
-        value = ball_deviation(f, offsets[r], stride, dev, centers=centers, means=means[r])
+        offsets = _ball_kernel(d, N, radii[r])[0]
+        value = ball_deviation(f, offsets, stride, dev, centers=centers, means=means[r])
         best = max(best, float(value.max()))
 
     first = int(np.argmax(bounds))

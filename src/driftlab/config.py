@@ -173,6 +173,10 @@ def build_plan(values: dict, seed_override: int | None = None) -> RunPlan:
         raise ConfigError("dual.horizon: must be nonnegative")
     if not 0.0 < v["dual.r"] <= 1.0:
         raise ConfigError("dual.r: must be in (0, 1]")
+    if not v["dual.A"] > 1.0:
+        raise ConfigError(f"dual.A: must be > 1, got {v['dual.A']}")
+    if v["initial.level"] < 0:
+        raise ConfigError(f"initial.level: must be >= 0, got {v['initial.level']}")
     return RunPlan(
         config=cfg,
         raw=v,

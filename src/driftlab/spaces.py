@@ -62,9 +62,18 @@ def omega_weighted_mass(f: ScalarField, center) -> float:
     return float(np.sum(w * np.abs(f.values)) * f.grid.cell_volume)
 
 
+@functools.lru_cache(maxsize=8)
+def _omega_weight(grid: GridSpec) -> np.ndarray:
+    """``omega_offset_array`` as a correlation weight, built on the grid's
+    first concentration and kept read-only."""
+    weight = _kernels.correlation_weight(omega_offset_array(grid))
+    weight.setflags(write=False)
+    return weight
+
+
 def concentration_all_centers(f: ScalarField) -> np.ndarray:
     """int Omega(x - c) |f(x)| dx for every grid center c (FFT correlation)."""
-    corr = _kernels.periodic_correlation(np.abs(f.values), omega_offset_array(f.grid))
+    corr = _kernels.correlate(np.abs(f.values), _omega_weight(f.grid))
     return corr * f.grid.cell_volume
 
 
@@ -190,30 +199,62 @@ def smooth_cutoff(xi) -> np.ndarray:
     return out
 
 
-def _band_multipliers(grid: GridSpec, j_min: int, j_max: int):
-    """Half-spectrum multipliers of the bands j_min..j_max, in order.
+@dataclass(frozen=True)
+class _LPBridge:
+    """The LP cutoffs of one grid.  The cutoff eta(|n| / 2^l) of level l is
+    1 up to |n| = 2^l and 0 from 2^(l+1) on; over the sorted distinct mode
+    radii of the half spectrum its bridge in between is one run,
+    ``runs[l + 1]`` = (lo, hi), with the values ``pieces[l + 1]``, for
+    l = -1, 0, ...  From the first level past ``runs`` on, every radius is
+    <= 2^l and the cutoff is all ones.  ``inverse`` spreads a function of
+    the radii over the modes."""
 
-    The cutoff eta(|n| / 2^l) of level l is 1 up to |n| = 2^l and 0 from
-    2^(l+1) on; over the sorted distinct mode radii of the half spectrum,
-    its bridge in between is one run.  The bridge arguments of every level
-    l = j_min-1..j_max go through one ``smooth_cutoff`` call, which
-    evaluates an argument shared by several levels once; each band is
-    spread over its modes by index.
+    size: int
+    inverse: np.ndarray
+    runs: tuple
+    pieces: tuple
+
+    def cut(self, level: int) -> np.ndarray:
+        if level + 1 >= len(self.runs):
+            return np.ones(self.size)
+        (lo, hi), piece = self.runs[level + 1], self.pieces[level + 1]
+        return np.concatenate([np.ones(lo), piece, np.zeros(self.size - hi)])
+
+
+@functools.lru_cache(maxsize=8)
+def _lp_bridge(grid: GridSpec) -> _LPBridge:
+    """The grid's ``_LPBridge``, built on its first band and kept read-only.
+
+    The bridge arguments r / 2^l of every level l with a nonempty run go
+    through one ``smooth_cutoff`` call, which evaluates an argument shared
+    by several levels once and each argument on its own, so a level's
+    values are the bits of its own call.
     """
     spec = half_spectrum(grid)
     radii, inverse = np.unique(spec.radius, return_inverse=True)
-    inverse = inverse.reshape(spec.shape)
-    levels = range(j_min - 1, j_max + 1)
-    runs = [(np.searchsorted(radii, 2.0**l, side="right"), np.searchsorted(radii, 2.0 ** (l + 1)))
-            for l in levels]
+    # the smallest unsigned index: an intp index would be 4x the bytes kept
+    inverse = inverse.reshape(spec.shape).astype(np.min_scalar_type(radii.size - 1))
+    levels = range(-1, int(radii[-1]).bit_length())  # from 2^l > max radius on, all ones
+    runs = [(int(np.searchsorted(radii, 2.0**l, side="right")),
+             int(np.searchsorted(radii, 2.0 ** (l + 1)))) for l in levels]
     args = [radii[lo:hi] / 2.0**l for l, (lo, hi) in zip(levels, runs)]
     bridge = smooth_cutoff(np.concatenate(args))
+    inverse.setflags(write=False)
+    bridge.setflags(write=False)
     pieces = np.split(bridge, np.cumsum([hi - lo for lo, hi in runs])[:-1])
-    cuts = (np.concatenate([np.ones(lo), piece, np.zeros(radii.size - hi)])
-            for (lo, hi), piece in zip(runs, pieces))
+    return _LPBridge(size=radii.size, inverse=inverse, runs=tuple(runs), pieces=tuple(pieces))
+
+
+def _band_multipliers(grid: GridSpec, j_min: int, j_max: int):
+    """Half-spectrum multipliers of the bands j_min..j_max, in order: the
+    cutoff of level j less that of level j - 1, spread over the modes."""
+    if j_min < 0:
+        raise ValueError(f"band levels start at 0, got {j_min}")
+    bridge = _lp_bridge(grid)
+    cuts = (bridge.cut(l) for l in range(j_min - 1, j_max + 1))
     lower = next(cuts)
     for upper in cuts:
-        yield (upper - lower)[inverse]
+        yield (upper - lower)[bridge.inverse]
         lower = upper
 
 
@@ -386,6 +427,8 @@ DEFAULT_CLASS_A = 4.0
 def make_test_function(j: int, grid: GridSpec, A: float = DEFAULT_CLASS_A) -> TestFunctionResult:
     """Canonical member of the scale-2^-j class: the periodized band kernel,
     rescaled by the largest admissible constant."""
+    if j < 0:
+        raise ValueError(f"level must be >= 0, got {j}")
     if 2**j > grid.N // 8:
         raise ValueError(f"level {j} profile not resolved on N={grid.N} (need 2^j <= N/8)")
     base = ScalarField.adopt(grid, half_spectrum(grid).inverse(band_multiplier(grid, j)))

@@ -533,6 +533,23 @@ class TestDualCommand:
         cfg = _write_cfg(tmp_path, "grid.d = 2\ngrid.N = 16\nequation.kind = sqg\n")
         assert cli.main(["dual", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("line, key", [
+        ("dual.A = 0.5", "dual.A"), ("dual.A = 1", "dual.A"), ("dual.A = nan", "dual.A"),
+        ("initial.level = -1", "initial.level"),
+    ])
+    def test_class_keys_rejected_before_the_run(self, line, key, tmp_path, capsys):
+        # checked with the configuration, not after the evolution or inside
+        # the band kernel's transform
+        cfg = _write_cfg(
+            tmp_path,
+            f"grid.d = 1\ngrid.N = 256\ninitial.kind = band_kernel\ndual.horizon = 0.005\n{line}\n",
+        )
+        out = tmp_path / "run"
+        assert cli.main(["dual", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and key in err
+
 
 class TestDiagnoseCommand:
     def test_constant_bmo_zero(self, tmp_path, capsys):

@@ -260,6 +260,39 @@ def test_pruned_max_takes_abs_or_square_and_any_radii():
     assert _kernels.ball_deviation_max(v, (r for r in (0.25, 0.5)), 1, np.abs) == want
 
 
+@pytest.mark.parametrize("d,N", [(1, 16), (1, 1024), (2, 16), (2, 128), (2, 256)])
+def test_ball_kernels_kept_per_radius_give_the_cold_bits(d, N):
+    radii = default_bmo_radii(GridSpec(d=d, N=N))
+    stride = max(1, N // 64)
+    v = random_band_limited(GridSpec(d=d, N=N), 4, seed=N + d).values
+
+    def results():
+        out = [means.tobytes() + bound.tobytes()
+               for _, means, bound in _kernels.ball_deviation_bounds(v, radii, stride, np.abs)]
+        return out + [_kernels.ball_deviation_max(v, radii, stride, dev) for dev in (np.abs, np.square)]
+
+    kernel = _kernels._ball_kernel
+    kernel.cache_clear()
+    cold = results()
+    assert kernel.cache_info().misses == len(radii)
+    assert results() == cold
+    assert kernel.cache_info().misses == len(radii)
+    for radius in radii:
+        offsets, ball_conj = kernel(d, N, radius)
+        for got, want in zip(offsets, _kernels.ball_offsets(d, N, radius)):
+            assert got.tobytes() == want.tobytes()
+        for a in (*offsets, ball_conj):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+    # more balls of another grid than the cache keeps
+    for k in range(kernel.cache_info().maxsize):
+        kernel(1, 8, 0.01 * (k + 1))
+    assert kernel.cache_info().currsize == kernel.cache_info().maxsize
+    misses = kernel.cache_info().misses
+    assert results() == cold
+    assert kernel.cache_info().misses > misses
+
+
 @pytest.mark.parametrize("d,N,stride", [(1, 256, 1), (2, 32, 1), (2, 64, 2), (2, 24, 5)])
 def test_every_ball_value_is_at_most_its_bound(d, N, stride):
     radii, fields = _profiles(d, N)

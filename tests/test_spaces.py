@@ -54,7 +54,39 @@ def weierstrass(grid, beta, levels=8):
     return ScalarField(grid, vals)
 
 
+# the grids of the kept-constant tests
+CACHE_GRIDS = [(1, 16), (1, 1024), (2, 16), (2, 128), (2, 256)]
+
+
+def _evict(builder, grid, build):
+    """Build the constants of more other grids than ``builder`` keeps,
+    with ``build(other)``; asserts that ``grid``'s constants are gone."""
+    size = builder.cache_info().maxsize
+    others = [GridSpec(d=1, N=2**k) for k in range(3, 4 + size) if (1, 2**k) != (grid.d, grid.N)]
+    for other in others[:size]:
+        build(other)
+    misses = builder.cache_info().misses
+    builder(grid)
+    assert builder.cache_info().misses == misses + 1
+
+
 class TestOmega:
+    @pytest.mark.parametrize("d,N", CACHE_GRIDS)
+    def test_weight_kept_per_grid_gives_the_cold_bits(self, d, N):
+        g = GridSpec(d=d, N=N)
+        f = _rand_field(g, 4)
+        want = _kernels.periodic_correlation(np.abs(f.values), spaces.omega_offset_array(g))
+        want = (want * g.cell_volume).tobytes()
+        spaces._omega_weight.cache_clear()
+        assert concentration_all_centers(f).tobytes() == want
+        assert concentration_all_centers(f).tobytes() == want
+        assert spaces._omega_weight.cache_info()[:2] == (1, 1)  # hits, misses
+        with pytest.raises(ValueError, match="read-only"):
+            spaces._omega_weight(g)[...] = 0.0
+        _evict(spaces._omega_weight, g,
+               lambda other: concentration_all_centers(ScalarField.constant(other, 1.0)))
+        assert concentration_all_centers(f).tobytes() == want
+
     def test_all_centers_matches_pointwise(self):
         g = GridSpec(d=2, N=16)
         f = _rand_field(g, 0)
@@ -281,6 +313,10 @@ class TestLittlewoodPaley:
         assert max_band_level(g) == 5
         with pytest.raises(ValueError):
             lp_bands(random_band_limited(g, band=4, seed=0), 6, 6)
+        with pytest.raises(ValueError, match="start at 0"):
+            lp_bands(random_band_limited(g, band=4, seed=0), -1, 2)
+        with pytest.raises(ValueError, match="start at 0"):
+            band_multiplier(g, -1)
 
     def test_single_mode_lands_in_band(self):
         g = GridSpec(d=1, N=128)
@@ -387,6 +423,27 @@ class TestLittlewoodPaley:
             got = spaces._bump(s)
         assert got.tobytes() == kernel_reference._bump(s).tobytes()
 
+    @pytest.mark.parametrize("d,N", CACHE_GRIDS)
+    def test_lp_bridge_kept_per_grid_gives_the_cold_bits(self, d, N):
+        # two levels past max_band_level: the cutoffs above the last bridge
+        # run are all ones
+        g = GridSpec(d=d, N=N)
+        jmax = max_band_level(g)
+
+        def multipliers():
+            return [m.tobytes() for m in spaces._band_multipliers(g, 0, jmax + 2)]
+
+        spaces._lp_bridge.cache_clear()
+        cold = multipliers()
+        assert multipliers() == cold
+        assert spaces._lp_bridge.cache_info()[:2] == (1, 1)  # hits, misses
+        bridge = spaces._lp_bridge(g)
+        for a in (bridge.inverse, *bridge.pieces):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+        _evict(spaces._lp_bridge, g, lambda other: band_multiplier(other, 0))
+        assert multipliers() == cold
+
     def test_holder_from_lp_needs_usable_bands(self):
         g = GridSpec(d=1, N=64)
         with pytest.raises(ValueError):
@@ -431,6 +488,11 @@ class TestClassMembership:
     def test_unresolved_level_rejected(self):
         with pytest.raises(ValueError, match="not resolved"):
             make_test_function(5, GridSpec(d=1, N=64))
+        # a negative level is refused before any band is built
+        spaces._lp_bridge.cache_clear()
+        with pytest.raises(ValueError, match="level must be >= 0"):
+            make_test_function(-1, GridSpec(d=1, N=64))
+        assert spaces._lp_bridge.cache_info().misses == 0
 
     def test_best_center_is_exact_minimum(self):
         g = GridSpec(d=1, N=128)
