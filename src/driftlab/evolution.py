@@ -186,10 +186,40 @@ def cfl_admissible_dt(grid: GridSpec, umax: float) -> float:
 
 @dataclass(frozen=True)
 class EvolutionState:
+    """theta and its velocity u at step ``step``, time ``t``.
+
+    A stepped state holds u.  A state that ``run_forward`` stores
+    (``EvolutionState.stored``) holds none: it keeps theta's values and,
+    in an SQG run, the half-spectrum coefficients they were realised from.
+    Reading its ``u`` rebuilds the run's velocity, bit for bit, on every
+    read, and keeps none: the drift history at ``t`` (a steady drift's
+    profile itself), or for SQG the Riesz velocity of theta's coefficients
+    (of its forward transform for the initial state).
+    """
+
     t: float
     theta: ScalarField
     u: VelocityField
     step: int
+    _drift: VelocityHistory | None = field(default=None, init=False, repr=False)
+
+    @classmethod
+    def stored(cls, t: float, theta: ScalarField, step: int,
+               drift: VelocityHistory | None) -> EvolutionState:
+        """A state without u, rebuilt on read from ``drift``, or from theta
+        if ``drift`` is None (SQG)."""
+        st = cls.__new__(cls)
+        for name, value in (("t", t), ("theta", theta), ("step", step), ("_drift", drift)):
+            object.__setattr__(st, name, value)
+        return st
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: u of a stored state
+        if name != "u" or "_drift" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        if self._drift is not None:
+            return self._drift.velocity_at(self.t)
+        return sqg_velocity(self.theta.with_coefficients())
 
 
 @dataclass(frozen=True)
@@ -288,13 +318,23 @@ class SpectralPlan(AdvectionTendency):
         for a in (self.E, self.E_half, self.dt_E_half):
             a.setflags(write=False)
 
+    # The stages evaluate E_half * (ch + 0.5 * dt * N) and
+    # E * ch + dt_E_half * N with the operands in that order, in place on
+    # the new tendency N; the cached zero tendency is read-only and is
+    # never written.
+
     def predictor(self, ch: np.ndarray, u0_phys: tuple) -> np.ndarray:
         """Midpoint coefficients, with the velocity at the step start."""
-        return self.E_half * (ch + 0.5 * self.dt * self.nonlinear(ch, u0_phys))
+        n = self.nonlinear(ch, u0_phys)
+        n = np.multiply(0.5 * self.dt, n, out=_writable(n))
+        np.add(ch, n, out=n)
+        return np.multiply(self.E_half, n, out=n)
 
     def corrector(self, ch: np.ndarray, mid: np.ndarray, umid_phys: tuple) -> np.ndarray:
         """End of the step from its start ``ch`` and its midpoint ``mid``."""
-        return self.E * ch + self.dt_E_half * self.nonlinear(mid, umid_phys)
+        n = self.nonlinear(mid, umid_phys)
+        n = np.multiply(self.dt_E_half, n, out=_writable(n))
+        return np.add(self.E * ch, n, out=n)
 
     def step(self, ch: np.ndarray, u0_phys: tuple, umid_phys: tuple) -> np.ndarray:
         """Midpoint step; stage velocities at the step start and midpoint.
@@ -303,6 +343,11 @@ class SpectralPlan(AdvectionTendency):
         moving = any(uj.any() for uj in umid_phys)
         mid = self.predictor(ch, u0_phys) if moving else ch
         return self.corrector(ch, mid, umid_phys)
+
+
+def _writable(a: np.ndarray) -> np.ndarray | None:
+    """``a`` as the ``out`` of a ufunc, or None (a new array) if read-only."""
+    return a if a.flags.writeable else None
 
 
 @functools.lru_cache(maxsize=8)
@@ -376,6 +421,7 @@ def step_forward(
     mid = plan.predictor(ch, _u_phys(state.u))
     umid = _finite_field(step, t, lambda: sqg_velocity(ScalarField.from_half_spectrum(grid, mid)))
     ch = plan.corrector(ch, mid, _u_phys(umid))
+    del mid, umid  # freed before the end velocity is built
     theta_new = _finite_field(step, t, ScalarField.adopt_half_spectrum, grid, ch)
     u_new = _finite_field(step, t, sqg_velocity, theta_new)
     return EvolutionState(t=t, theta=theta_new, u=u_new, step=step)
@@ -383,6 +429,9 @@ def step_forward(
 
 @dataclass
 class RunResult:
+    """A forward run: its stored states keep theta (values, and an SQG
+    state's coefficients) and rebuild u on each read (``EvolutionState``)."""
+
     config: SimConfig
     states: list                 # snapshots at cadence (plus initial and final)
     diagnostics: list            # dict rows: step, t, linf, l1, l2, mean, bmo_u, beta_hat
@@ -448,19 +497,20 @@ def run_forward(cfg: SimConfig, theta0: ScalarField) -> RunResult:
 
     state = EvolutionState(t=0.0, theta=start, u=u, step=0)
     del start  # the kept coefficients go with the state at step 1
-    states = [replace(state, theta=theta0)]  # stored without the transform
-    diags = [_diag_row(states[0], cfg)]
+    # stored states keep theta, not u; the diagnostics read the live state
+    states = [EvolutionState.stored(0.0, theta0, 0, history)]  # without the transform
+    diags = [_diag_row(state, cfg)]
     for _ in range(nsteps):
         state = step_forward(state, cfg, history)
         if store_history:
             hist_times.append(state.t)
             hist_samples.append(_u_phys(state.u))
         if state.step % cfg.cadence == 0 or state.step == nsteps:
-            # a snapshot keeps its values only, not an SQG step's
-            # coefficients; computing them checks them
-            theta = _finite_field(state.step, state.t, state.theta.without_coefficients)
-            states.append(replace(state, theta=theta))
-            diags.append(_diag_row(states[-1], cfg))
+            # an SQG theta keeps its coefficients beside the values that
+            # are computed, and checked, here
+            _finite_field(state.step, state.t, lambda: state.theta.values)
+            states.append(EvolutionState.stored(state.t, state.theta, state.step, history))
+            diags.append(_diag_row(state, cfg))
     if store_history:
         history = VelocityHistory.from_samples(grid, hist_times, hist_samples)
     elif history is None:

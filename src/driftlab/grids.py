@@ -85,14 +85,6 @@ def periodic_delta(a: np.ndarray) -> np.ndarray:
     return (np.asarray(a) + 0.5) % 1.0 - 0.5
 
 
-def periodic_distance(x, y) -> np.ndarray:
-    """Periodic Euclidean distance between points of [0,1)^d."""
-    dx = periodic_delta(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-    if dx.ndim == 0:
-        return np.abs(dx)
-    return np.sqrt(np.sum(dx**2, axis=-1))
-
-
 @dataclass(frozen=True, eq=False)
 class ScalarField:
     """Real field sampled on the grid nodes (row-major).
@@ -267,16 +259,18 @@ class HalfSpectrum:
         self.radius = np.sqrt(sum(m**2 for m in self.modes))
         self.radius.setflags(write=False)
         self.ik = tuple(spread(j, 2j * np.pi * m) for j, m in per_axis)
-        # the Nyquist rows of every axis but the last (which stores its
-        # Nyquist column whole), and the multipliers with n_j = +N/2 in
-        # place of -N/2, for spectral_divergence_max
+        # the real wave numbers 2*pi*n_j, whose values are the imaginary
+        # parts of ik; the Nyquist rows of every axis but the last (which
+        # stores its Nyquist column whole); and the wave numbers with
+        # n_j = +N/2 in place of -N/2: for spectral_divergence_max
+        self.k = tuple(spread(j, TWO_PI * m) for j, m in per_axis)
         nyq = N // 2
         self.nyquist_rows = tuple(
             tuple(nyq if a == j else slice(None) for a in range(d)) for j in range(d - 1)
         )
         self._mirror_rows = (-np.arange(N)) % N  # row of -n_1, for make_hermitian
-        self.ik_mirror = tuple(
-            spread(j, 2j * np.pi * np.where(m == -nyq, nyq, m)) for j, m in per_axis
+        self.k_mirror = tuple(
+            spread(j, TWO_PI * np.where(m == -nyq, nyq, m)) for j, m in per_axis
         )
 
     def symbol(self, alpha: float) -> np.ndarray:
@@ -359,18 +353,23 @@ def spectral_divergence_max(components) -> float:
     """max_k |sum_j k_j u^_j(k)| over the full spectrum, for a tuple of
     ScalarFields.
 
-    Computed on the half spectrum, from each field's ``half_coefficients``.
-    The coefficients it leaves out are the complex conjugates of stored
-    ones at wave vector -n, and have the same divergence magnitude, except
-    on the Nyquist row n_1 = -N/2 (d = 2), which the fftfreq convention
-    maps to itself: that row is evaluated a second time with n_1 = +N/2.
+    Computed on the half spectrum, from each field's ``half_coefficients``,
+    with the real wave numbers 2*pi*n_j: each term is the one with i*k_j
+    turned by a right angle, and |.| (hypot) ignores the signs that turn
+    swaps, so the float is that of the i*k form.  The coefficients it leaves
+    out are the complex conjugates of stored ones at wave vector -n, and
+    have the same divergence magnitude, except on the Nyquist row
+    n_1 = -N/2 (d = 2), which the fftfreq convention maps to itself: that
+    row is evaluated a second time with n_1 = +N/2.
     """
     spec = half_spectrum(components[0].grid)
     uh = [comp.half_coefficients() for comp in components]
-    div = sum(ikj * u for ikj, u in zip(spec.ik, uh))
+    div = spec.k[0] * uh[0]
+    for kj, u in zip(spec.k[1:], uh[1:]):
+        div += kj * u
     peak = float(np.max(np.abs(div)))
     for row in spec.nyquist_rows:
-        mirrored = sum(ikj[row] * u[row] for ikj, u in zip(spec.ik_mirror, uh))
+        mirrored = sum(kj[row] * u[row] for kj, u in zip(spec.k_mirror, uh))
         peak = max(peak, float(np.max(np.abs(mirrored))))
     return peak
 
@@ -401,8 +400,10 @@ class VelocityField:
             _check_same_grid(self.grid, c.grid)
         object.__setattr__(self, "components", comps)
         if self.divergence_free:
-            norm = max(self.l2_norm(), 1e-300)
+            # the divergence first: its temporaries are freed before the
+            # norm realises values that a component has not computed yet
             div = spectral_divergence_max(comps)
+            norm = max(self.l2_norm(), 1e-300)
             if div > 1e-10 * norm:
                 raise ValueError(
                     f"velocity asserted divergence-free but max spectral divergence "

@@ -102,8 +102,18 @@ class AdvectionTendency:
         no transform."""
         if not any(uj.any() for uj in u_phys):
             return self.zero_tendency
-        prod = sum(uj * self.inverse(ikj * ch) for ikj, uj in zip(self.ik, u_phys))
-        return self.forward(prod) * self.mask
+        # the sum of uj * inverse(ikj * ch), then its transform times the
+        # mask, each in place on a new array with the operands in the order
+        # of the expression; the sum starts from 0, which turns a product's
+        # -0.0 into +0.0
+        prod = 0
+        for ikj, uj in zip(self.ik, u_phys):
+            term = self.inverse(ikj * ch)
+            np.multiply(uj, term, out=term)
+            prod = np.add(prod, term, out=term)
+        c = self.forward(prod)
+        del prod, term
+        return np.multiply(c, self.mask, out=c)
 
     @functools.cached_property
     def zero_tendency(self) -> np.ndarray:

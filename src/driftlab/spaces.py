@@ -287,15 +287,6 @@ def _iter_bands(f: ScalarField, j_min: int, j_max: int):
         yield LPBand(j=j, field=band, sup=float(np.max(np.abs(band.values))))
 
 
-def lp_bands(f: ScalarField, j_min: int = 0, j_max: int | None = None) -> list:
-    """Band-pass f at the levels j_min..j_max from one transform of f."""
-    if j_max is None:
-        j_max = max_band_level(f.grid)
-    if 2**j_max > f.grid.N // 2:
-        raise ValueError(f"band level {j_max} not resolvable on N={f.grid.N}")
-    return list(_iter_bands(f, j_min, j_max))
-
-
 @dataclass(frozen=True)
 class HolderFit:
     beta: float

@@ -9,12 +9,37 @@ from driftlab.grids import (
     ScalarField,
     VelocityField,
     half_spectrum,
-    periodic_distance,
+    periodic_delta,
     spectral_divergence_max,
     to_physical,
     to_spectral,
 )
-from driftlab.operators import norms
+from driftlab.evolution import shear_velocity, sqg_velocity
+from driftlab.operators import norms, random_band_limited, riesz_transform
+
+
+def periodic_distance(x, y) -> np.ndarray:
+    """Periodic Euclidean distance between points of [0,1)^d: the oracle of
+    GridSpec.distance2."""
+    dx = periodic_delta(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
+    if dx.ndim == 0:
+        return np.abs(dx)
+    return np.sqrt(np.sum(dx**2, axis=-1))
+
+
+def _divergence_max_ik(components) -> float:
+    """spectral_divergence_max as written with the multipliers i*2*pi*n_j,
+    frozen: the real wave numbers must give its float."""
+    spec = half_spectrum(components[0].grid)
+    nyq = spec.grid.N // 2
+    ik_mirror = [2j * np.pi * np.where(m == -nyq, nyq, m) for m in spec.modes]
+    uh = [comp.half_coefficients() for comp in components]
+    div = sum(ikj * u for ikj, u in zip(spec.ik, uh))
+    peak = float(np.max(np.abs(div)))
+    for row in spec.nyquist_rows:
+        mirrored = sum(ikj[row] * u[row] for ikj, u in zip(ik_mirror, uh))
+        peak = max(peak, float(np.max(np.abs(mirrored))))
+    return peak
 
 
 def _random_field(grid, seed):
@@ -273,6 +298,24 @@ class TestVelocityField:
         ok = (ScalarField.constant(g, 0.0), ScalarField(g, np.sin(2 * np.pi * x1)))
         v = VelocityField(g, ok, divergence_free=True)
         assert spectral_divergence_max(v.components) < 1e-12
+
+    @pytest.mark.parametrize("d,N", [(1, 16), (2, 16), (2, 64)])
+    def test_divergence_max_is_the_float_of_the_ik_form(self, d, N):
+        # the real wave numbers give the float that the i*2*pi*n_j form gave:
+        # on SQG velocities (kept coefficients), a shear (a zero component),
+        # white noise, and a wave on the Nyquist row
+        g = GridSpec(d=d, N=N)
+        cases = [tuple(_random_field(g, seed + 10 * j) for j in range(d)) for seed in (1, 2)]
+        if d == 2:
+            theta = random_band_limited(g, band=4, seed=3).with_coefficients()
+            cases.append((-riesz_transform(theta, 2), riesz_transform(theta, 1)))
+            cases.append(sqg_velocity(theta).components)  # values only, once checked
+            cases.append(shear_velocity(g, 1.5).components)
+            x1, x2 = g.coords()
+            wave = np.cos(np.pi * N * x1 + 2 * np.pi * 3 * x2)
+            cases.append((ScalarField(g, wave), ScalarField(g, wave * (N / 2) / 3)))
+        for comps in cases:
+            assert spectral_divergence_max(comps) == _divergence_max_ik(comps)
 
     def test_norms(self):
         g = GridSpec(d=2, N=16)
