@@ -93,7 +93,10 @@ def sqg_velocity(theta: ScalarField) -> VelocityField:
     """u = (-R2 theta, R1 theta); divergence-free by the multiplier identity.
 
     From a theta that keeps its half-spectrum coefficients, the velocity
-    and its divergence check cost one inverse transform per component.
+    and its divergence check cost one inverse transform per component:
+    both transforms keep only coefficients, and so does the negation of
+    R2 theta, so each component's values are realised from its own
+    coefficients when the velocity first reads them.
     """
     if theta.grid.d != 2:
         raise ValueError("SQG coupling requires d=2")
@@ -396,7 +399,8 @@ def step_forward(
     An SQG step keeps the coefficients of its midpoint and end fields and
     checks them, and the values of their velocities, so it makes 10
     transforms: 3 for each advection tendency and 2 for each of the two
-    velocities.  The midpoint field's values are never computed; the end
+    velocities (-R2 theta is negated on its coefficients, before its
+    values exist).  The midpoint field's values are never computed; the end
     field computes its values on their first read (one more transform),
     which ``run_forward`` makes only for the states it stores.
     """

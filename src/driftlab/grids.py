@@ -94,7 +94,8 @@ class ScalarField:
     ``from_half_spectrum`` or ``adopt_half_spectrum`` keeps only its
     half-spectrum coefficients, so that spectral operators on it need no
     forward transform; it computes its values on the first read of
-    ``values``, once, and keeps them.
+    ``values``, once, and keeps them.  Negating such a field before that
+    read negates its coefficients alone, so ``-f`` is lazy too.
     """
 
     grid: GridSpec
@@ -145,9 +146,15 @@ class ScalarField:
         if not np.all(np.isfinite(ch)):
             raise ValueError("field coefficients must be finite")
         ch.setflags(write=False)
+        return cls._lazy(grid, ch)
+
+    @classmethod
+    def _lazy(cls, grid: GridSpec, half: np.ndarray) -> "ScalarField":
+        """Field of read-only coefficients, already in ``irfftn``'s form and
+        checked, whose values are computed on their first read."""
         f = cls.__new__(cls)
         object.__setattr__(f, "grid", grid)
-        object.__setattr__(f, "_half", ch)
+        object.__setattr__(f, "_half", half)
         return f
 
     def half_coefficients(self) -> np.ndarray:
@@ -191,11 +198,19 @@ class ScalarField:
         return abs(self.mean()) <= rtol * max(amp, 1.0)
 
     def __neg__(self):
-        f = ScalarField.adopt(self.grid, -self.values)
+        """-f.  A field whose values are not read yet negates only its
+        kept coefficients and stays lazy: its values come from one inverse
+        transform of the negated coefficients, checked on their first read.
+        That transform is -f.values but possibly in the sign of an exact
+        zero."""
+        half = None
         if self._half is not None:
             half = -self._half
             half.setflags(write=False)
-            object.__setattr__(f, "_half", half)
+        if "values" not in self.__dict__:
+            return ScalarField._lazy(self.grid, half)
+        f = ScalarField.adopt(self.grid, -self.values)
+        object.__setattr__(f, "_half", half)
         return f
 
     def __add__(self, other):
@@ -301,12 +316,6 @@ class HalfSpectrum:
             mult.setflags(write=False)
             out.append(mult)
         return tuple(out)
-
-    def odd(self, j: int, mult: np.ndarray) -> np.ndarray:
-        """An odd multiplier of axis j (0-based), zero on that axis's Nyquist
-        line: n_j = -N/2 is its own mirror, so the real part of the
-        full-spectrum transform cancels the term there."""
-        return np.where(np.abs(self.modes[j]) == self.grid.N // 2, 0.0, mult)
 
     def make_hermitian(self, ch: np.ndarray) -> np.ndarray:
         """Makes the complex array ``ch`` the coefficients that ``inverse``
@@ -430,8 +439,9 @@ class VelocityField:
 
     @functools.cached_property
     def _max_norm(self) -> float:
-        speed = np.zeros(self.grid.shape)
-        for c in self.components:
+        first, *rest = self.components
+        speed = first.values**2
+        for c in rest:
             speed += c.values**2
         return float(np.sqrt(np.max(speed)))
 

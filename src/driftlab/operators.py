@@ -1,6 +1,6 @@
-"""Operators on torus fields: the spectral fractional Laplacian, gradient
-and Riesz transforms, the dealiased advection tendency, and the seeded
-fields.  Their multipliers come from ``grids.half_spectrum(grid)``."""
+"""Operators on torus fields: the Riesz transforms, the dealiased advection
+tendency, and the seeded fields.  Their multipliers come from
+``grids.half_spectrum(grid)``."""
 
 from __future__ import annotations
 
@@ -42,25 +42,6 @@ def norms(f: ScalarField) -> NormRecord:
         l1=float(a.sum() * vol),
         l2=float(np.sqrt((v**2).sum() * vol)),
         linf=float(a.max()),
-    )
-
-
-def fractional_laplacian_spectral(f: ScalarField, alpha: float = 1.0) -> ScalarField:
-    """(-Laplace)^{alpha/2} f via the multiplier |2*pi*n|^alpha."""
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must be in (0, 2], got {alpha}")
-    spec = half_spectrum(f.grid)
-    ch = spec.forward(f.values) * spec.symbol(alpha)
-    return ScalarField.adopt(f.grid, spec.inverse(ch))
-
-
-def gradient(f: ScalarField) -> tuple:
-    """Spectral gradient; returns d ScalarFields."""
-    spec = half_spectrum(f.grid)
-    ch = spec.forward(f.values)
-    return tuple(
-        ScalarField.adopt(f.grid, spec.inverse(spec.odd(j, ikj) * ch))
-        for j, ikj in enumerate(spec.ik)
     )
 
 

@@ -2,9 +2,9 @@
 sum, an oracle independent of the spectral multiplier.
 
 Kept for tests/test_acceptance.py, tests/test_operators.py and
-tests/test_kernels.py, which check ``fractional_laplacian_spectral`` and
-the correlation it is applied by against it; no command, suite or library
-code calls it.
+tests/test_kernels.py, which check ``fractional_laplacian_spectral``
+(tests/spectral_operators.py) and the correlation it is applied by
+against it; no command, suite or library code calls it.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 forward, SQG and dual stepping as it was before the half-spectrum plan, and
 the operators and correlations as they were before they moved onto the
 half-spectrum core (``gradient``, ``fractional_laplacian_spectral``,
-``advect``, ``concentration_all_centers``, ``shifted_pairings``), and the
-fields built from a spectral multiplier as they were before it
-(``band_kernel``, ``near_delta_bump``).  ``mode_radius`` gives |n|
+``advect``, ``concentration_all_centers``, ``shifted_pairings``; the
+half-spectrum gradient and fractional Laplacian are test code too, in
+tests/spectral_operators.py), and the fields built from a spectral
+multiplier as they were before it (``band_kernel``, ``near_delta_bump``).  ``mode_radius`` gives |n|
 over the full spectrum, and ``band_multiplier`` the Littlewood-Paley
 multipliers over it, also to tests/kernel_reference.py's band fit.
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from direct_oracle import fractional_laplacian_direct
 from fullspectrum_reference import mode_radius
+from spectral_operators import fractional_laplacian_spectral
 from driftlab.evolution import (
     SimConfig,
     VelocityHistory,
@@ -22,11 +23,7 @@ from driftlab.evolution import (
     run_forward,
 )
 from driftlab.grids import GridSpec, ScalarField, to_spectral
-from driftlab.operators import (
-    fractional_laplacian_spectral,
-    norms,
-    random_band_limited,
-)
+from driftlab.operators import norms, random_band_limited
 from driftlab.spaces import holder_from_classes, holder_from_lp, make_test_function
 from driftlab.verification import (
     verify_class_evolution,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fullspectrum_reference import mode_radius
-from driftlab import evolution
+from driftlab import evolution, grids
 from driftlab.grids import GridSpec, ScalarField, VelocityField, to_spectral
 from driftlab.operators import norms, random_band_limited
 from driftlab.evolution import (
@@ -214,6 +214,34 @@ class TestSQG:
         g = GridSpec(d=2, N=32)
         u = sqg_velocity(random_band_limited(g, 5, seed=1))
         assert u.divergence_free
+
+    @pytest.mark.parametrize("N", [32, 64])
+    def test_velocity_costs_two_riesz_transforms_and_two_inverse_ffts(self, N, monkeypatch):
+        # the calls that the traced benchmark counts, and the bits of the
+        # route that realised R2 theta before negating it
+        g = GridSpec(d=2, N=N)
+        theta = random_band_limited(g, band=5, seed=N).with_coefficients()
+        r2, r1 = (evolution.riesz_transform(theta, j).values for j in (2, 1))
+        log = []
+
+        def counted(name, func):
+            def call(*args, **kwargs):
+                log.append(name)
+                return func(*args, **kwargs)
+            return call
+
+        for name in ("rfft", "irfft", "rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+        for module, name in ((evolution, "riesz_transform"), (grids, "spectral_divergence_max")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        u = sqg_velocity(theta)
+        # the divergence check reads the coefficients; then each component's
+        # values take one inverse transform
+        assert log == ["riesz_transform"] * 2 + ["spectral_divergence_max"] + ["irfftn"] * 2
+        u1, u2 = (c.values for c in u.components)
+        assert u2.tobytes() == r1.tobytes()
+        nonzero = r2 != 0
+        assert u1[nonzero].tobytes() == (-r2)[nonzero].tobytes() and not u1[~nonzero].any()
 
     def test_requires_d2(self):
         with pytest.raises(ValueError):

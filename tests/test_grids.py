@@ -220,6 +220,51 @@ class TestScalarField:
         assert np.array_equal((-f).values, -f.values)
         assert np.array_equal((-f).half_coefficients(), -f.half_coefficients())
 
+    def test_negation_of_coefficients_makes_no_transform(self, monkeypatch):
+        g = GridSpec(d=2, N=16)
+        f = ScalarField.from_half_spectrum(g, half_spectrum(g).forward(_random_field(g, 6).values))
+        calls = []
+        irfftn = np.fft.irfftn
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return irfftn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfftn", counted)
+        neg = -f
+        assert calls == [] and "values" not in f.__dict__
+        assert neg.half_coefficients().tobytes() == (-f.half_coefficients()).tobytes()
+        assert not neg.half_coefficients().flags.writeable
+        v = neg.values
+        assert len(calls) == 1 and neg.values is v and not v.flags.writeable
+        # -irfftn(h) and irfftn(-h) may differ only in the sign of a zero
+        assert np.array_equal(v, -f.values)
+        assert np.abs(v).tobytes() == np.abs(f.values).tobytes()
+
+    def test_negation_of_values_keeps_their_bytes(self):
+        g = GridSpec(d=2, N=16)
+        plain = _random_field(g, 7)
+        read = ScalarField.from_half_spectrum(g, plain.half_coefficients())
+        read.values  # realised before the negation: negated on the grid
+        for f in (plain, read, plain.with_coefficients()):
+            neg = -f
+            assert neg.values.tobytes() == (-f.values).tobytes()
+            assert not neg.values.flags.writeable
+        assert (-plain)._half is None
+        assert (-read).half_coefficients().tobytes() == (-read.half_coefficients()).tobytes()
+
+    def test_negated_coefficients_check_their_values_when_computed(self):
+        # the overflow case of test_coefficients_are_checked_when_kept_and_
+        # values_when_computed, negated before any read
+        g = GridSpec(d=2, N=8)
+        ch = np.zeros(half_spectrum(g).shape, dtype=complex)
+        ch[0, 1] = 1e308
+        neg = -ScalarField.from_half_spectrum(g, ch)
+        assert neg.half_coefficients()[0, 1] == -1e308
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                neg.values
+
     def test_identity_equality_and_hash(self):
         g = GridSpec(d=2, N=8)
         f, h = ScalarField.constant(g, 1.0), ScalarField.constant(g, 1.0)

@@ -5,11 +5,10 @@ from hypothesis import given, strategies as st
 import direct_oracle
 import kernel_reference
 from direct_oracle import fractional_laplacian_direct
+from spectral_operators import fractional_laplacian_spectral, gradient
 from driftlab.grids import GridSpec, ScalarField, VelocityField, dealias_cutoff, to_spectral
 from driftlab.operators import (
     advect,
-    fractional_laplacian_spectral,
-    gradient,
     inner,
     norms,
     random_band_limited,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fullspectrum_reference as ref
+from spectral_operators import fractional_laplacian_spectral, gradient
 from driftlab.evolution import (
     REVERSED_SIGN,
     STANDARD_SIGN,
@@ -29,8 +30,6 @@ from driftlab.grids import (
 from driftlab.operators import (
     TWO_PI,
     advect,
-    fractional_laplacian_spectral,
-    gradient,
     random_band_limited,
     riesz_transform,
 )
