@@ -94,8 +94,8 @@ class ScalarField:
     ``from_half_spectrum`` or ``adopt_half_spectrum`` keeps only its
     half-spectrum coefficients, so that spectral operators on it need no
     forward transform; it computes its values on the first read of
-    ``values``, once, and keeps them.  Negating such a field before that
-    read negates its coefficients alone, so ``-f`` is lazy too.
+    ``values``, once, and keeps them.  Negating a field that keeps
+    coefficients negates them alone, so ``-f`` is lazy too.
     """
 
     grid: GridSpec
@@ -198,20 +198,16 @@ class ScalarField:
         return abs(self.mean()) <= rtol * max(amp, 1.0)
 
     def __neg__(self):
-        """-f.  A field whose values are not read yet negates only its
-        kept coefficients and stays lazy: its values come from one inverse
-        transform of the negated coefficients, checked on their first read.
-        That transform is -f.values but possibly in the sign of an exact
-        zero."""
-        half = None
-        if self._half is not None:
-            half = -self._half
-            half.setflags(write=False)
-        if "values" not in self.__dict__:
-            return ScalarField._lazy(self.grid, half)
-        f = ScalarField.adopt(self.grid, -self.values)
-        object.__setattr__(f, "_half", half)
-        return f
+        """-f.  A field of kept coefficients negates only them and stays
+        lazy: its values come from one inverse transform of the negated
+        coefficients, checked on their first read.  That transform is
+        -f.values but possibly in the sign of an exact zero, and in the
+        rounding of values that were given rather than computed."""
+        if self._half is None:
+            return ScalarField.adopt(self.grid, -self.values)
+        half = -self._half
+        half.setflags(write=False)
+        return ScalarField._lazy(self.grid, half)
 
     def __add__(self, other):
         if isinstance(other, ScalarField):

@@ -242,16 +242,24 @@ class TestScalarField:
         assert np.abs(v).tobytes() == np.abs(f.values).tobytes()
 
     def test_negation_of_values_keeps_their_bytes(self):
+        plain = _random_field(GridSpec(d=2, N=16), 7)
+        neg = -plain
+        assert neg.values.tobytes() == (-plain.values).tobytes()
+        assert neg._half is None and not neg.values.flags.writeable
+
+    def test_negation_of_read_coefficients_realises_the_negated_ones(self):
         g = GridSpec(d=2, N=16)
         plain = _random_field(g, 7)
         read = ScalarField.from_half_spectrum(g, plain.half_coefficients())
-        read.values  # realised before the negation: negated on the grid
-        for f in (plain, read, plain.with_coefficients()):
+        read.values  # realised before the negation
+        for f in (read, plain.with_coefficients()):
             neg = -f
-            assert neg.values.tobytes() == (-f.values).tobytes()
+            assert neg.half_coefficients().tobytes() == (-f.half_coefficients()).tobytes()
+            assert neg.values.tobytes() == half_spectrum(g).inverse(-f.half_coefficients()).tobytes()
             assert not neg.values.flags.writeable
-        assert (-plain)._half is None
-        assert (-read).half_coefficients().tobytes() == (-read.half_coefficients()).tobytes()
+        # values computed from the coefficients: -f.values but in the sign of a zero
+        assert np.array_equal((-read).values, -read.values)
+        assert np.abs((-read).values).tobytes() == np.abs(read.values).tobytes()
 
     def test_negated_coefficients_check_their_values_when_computed(self):
         # the overflow case of test_coefficients_are_checked_when_kept_and_
