@@ -108,7 +108,7 @@ def cmd_dual(args) -> int:
     cfg = plan.config
     if cfg.kind == "sqg":
         raise ConfigError(
-            "velocity.kind: dual runs need a prescribed velocity history; "
+            "equation.kind: dual runs need a prescribed velocity history; "
             "no forward run is available to supply the sqg velocity"
         )
     psi0 = build_initial_field(plan)
@@ -229,11 +229,9 @@ def cmd_verify(args) -> int:
     elif suite in SUITE_REGISTRY:
         names = [suite]
     else:
-        print(
-            f"unknown suite {suite!r}; registered: {', '.join(sorted(SUITE_REGISTRY))}",
-            file=sys.stderr,
+        raise ConfigError(
+            f"suite: unknown suite {suite!r}; registered: {', '.join(sorted(SUITE_REGISTRY))}"
         )
-        return EXIT_CONFIG
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -191,38 +191,16 @@ def cfl_admissible_dt(grid: GridSpec, umax: float) -> float:
 class EvolutionState:
     """theta and its velocity u at step ``step``, time ``t``.
 
-    A stepped state holds u.  A state that ``run_forward`` stores
-    (``EvolutionState.stored``) holds none: it keeps theta's values and,
-    in an SQG run, the half-spectrum coefficients they were realised from.
-    Reading its ``u`` rebuilds the run's velocity, bit for bit, on every
-    read, and keeps none: the drift history at ``t`` (a steady drift's
-    profile itself), or for SQG the Riesz velocity of theta's coefficients
-    (of its forward transform for the initial state).
+    A state that ``run_forward`` stores holds no u (``u is None``): it
+    keeps theta's values and, in an SQG run, the half-spectrum
+    coefficients they were realised from; ``RunResult.velocity`` rebuilds
+    its u.
     """
 
     t: float
     theta: ScalarField
-    u: VelocityField
+    u: VelocityField | None
     step: int
-    _drift: VelocityHistory | None = field(default=None, init=False, repr=False)
-
-    @classmethod
-    def stored(cls, t: float, theta: ScalarField, step: int,
-               drift: VelocityHistory | None) -> EvolutionState:
-        """A state without u, rebuilt on read from ``drift``, or from theta
-        if ``drift`` is None (SQG)."""
-        st = cls.__new__(cls)
-        for name, value in (("t", t), ("theta", theta), ("step", step), ("_drift", drift)):
-            object.__setattr__(st, name, value)
-        return st
-
-    def __getattr__(self, name):
-        # reached only for an attribute the instance lacks: u of a stored state
-        if name != "u" or "_drift" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        if self._drift is not None:
-            return self._drift.velocity_at(self.t)
-        return sqg_velocity(self.theta.with_coefficients())
 
 
 @dataclass(frozen=True)
@@ -423,7 +401,9 @@ def step_forward(
     # the corrector reads the midpoint coefficients: their field keeps a
     # copy, which is freed once its velocity is built
     mid = plan.predictor(ch, _u_phys(state.u))
-    umid = _finite_field(step, t, lambda: sqg_velocity(ScalarField.from_half_spectrum(grid, mid)))
+    umid = _finite_field(
+        step, t, lambda: sqg_velocity(ScalarField.adopt_half_spectrum(grid, mid.copy()))
+    )
     ch = plan.corrector(ch, mid, _u_phys(umid))
     del mid, umid  # freed before the end velocity is built
     theta_new = _finite_field(step, t, ScalarField.adopt_half_spectrum, grid, ch)
@@ -434,12 +414,22 @@ def step_forward(
 @dataclass
 class RunResult:
     """A forward run: its stored states keep theta (values, and an SQG
-    state's coefficients) and rebuild u on each read (``EvolutionState``)."""
+    state's coefficients) and no velocity, which ``velocity`` rebuilds."""
 
     config: SimConfig
     states: list                 # snapshots at cadence (plus initial and final)
     diagnostics: list            # dict rows: step, t, linf, l1, l2, mean, bmo_u, beta_hat
     history: VelocityHistory
+
+    def velocity(self, st: EvolutionState) -> VelocityField:
+        """The velocity of stored state ``st``, bit for bit the one its step
+        made, rebuilt on each call and not kept: the drift history at
+        ``st.t`` (a steady drift's profile itself), or for SQG the Riesz
+        velocity of theta's coefficients (of its forward transform for the
+        initial state)."""
+        if self.config.kind == "sqg":
+            return sqg_velocity(st.theta.with_coefficients())
+        return self.history.velocity_at(st.t)
 
 
 def _diag_row(state: EvolutionState, cfg: SimConfig) -> dict:
@@ -502,7 +492,7 @@ def run_forward(cfg: SimConfig, theta0: ScalarField) -> RunResult:
     state = EvolutionState(t=0.0, theta=start, u=u, step=0)
     del start  # the kept coefficients go with the state at step 1
     # stored states keep theta, not u; the diagnostics read the live state
-    states = [EvolutionState.stored(0.0, theta0, 0, history)]  # without the transform
+    states = [EvolutionState(0.0, theta0, None, 0)]  # without the transform
     diags = [_diag_row(state, cfg)]
     for _ in range(nsteps):
         state = step_forward(state, cfg, history)
@@ -513,7 +503,7 @@ def run_forward(cfg: SimConfig, theta0: ScalarField) -> RunResult:
             # an SQG theta keeps its coefficients beside the values that
             # are computed, and checked, here
             _finite_field(state.step, state.t, lambda: state.theta.values)
-            states.append(EvolutionState.stored(state.t, state.theta, state.step, history))
+            states.append(EvolutionState(state.t, state.theta, None, state.step))
             diags.append(_diag_row(state, cfg))
     if store_history:
         history = VelocityHistory.from_samples(grid, hist_times, hist_samples)

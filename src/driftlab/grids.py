@@ -91,11 +91,11 @@ class ScalarField:
 
     The values are immutable: a writable array of the caller's is copied,
     so changing it later cannot change the field.  A field built by
-    ``from_half_spectrum`` or ``adopt_half_spectrum`` keeps only its
-    half-spectrum coefficients, so that spectral operators on it need no
-    forward transform; it computes its values on the first read of
-    ``values``, once, and keeps them.  Negating a field that keeps
-    coefficients negates them alone, so ``-f`` is lazy too.
+    ``adopt_half_spectrum`` keeps only its half-spectrum coefficients, so
+    that spectral operators on it need no forward transform; it computes
+    its values on the first read of ``values``, once, and keeps them.
+    Negating a field that keeps coefficients negates them alone: ``-f`` is
+    lazy too.
     """
 
     grid: GridSpec
@@ -130,18 +130,12 @@ class ScalarField:
         return cls(grid, values)
 
     @classmethod
-    def from_half_spectrum(cls, grid: GridSpec, ch: np.ndarray) -> "ScalarField":
-        """Field of half-spectrum coefficients, which it keeps, as a copy,
-        in the form that ``irfftn`` realises (``HalfSpectrum.make_hermitian``);
-        its values are computed on their first read."""
-        return cls.adopt_half_spectrum(grid, np.array(ch, dtype=complex))
-
-    @classmethod
     def adopt_half_spectrum(cls, grid: GridSpec, ch: np.ndarray) -> "ScalarField":
-        """``from_half_spectrum`` on a new complex array that the caller
-        hands over and no longer reads or writes: its self-conjugate columns
-        are made Hermitian in place, and it is kept without a copy.  The
-        coefficients are checked here, the values on their first read."""
+        """Field of the half-spectrum coefficients on a new complex array
+        that the caller hands over and no longer reads or writes, kept with
+        no copy in ``irfftn``'s form: ``HalfSpectrum.make_hermitian`` runs
+        in place.  The coefficients are checked here, the values computed
+        on their first read."""
         half_spectrum(grid).make_hermitian(ch)
         if not np.all(np.isfinite(ch)):
             raise ValueError("field coefficients must be finite")

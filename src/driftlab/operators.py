@@ -122,14 +122,13 @@ def random_band_limited(
     band: int,
     seed: int,
     amplitude: float = 1.0,
-    mean_zero: bool = True,
 ) -> ScalarField:
     """Band-limited field from seeded PCG64 white noise.
 
     Algorithm (frozen for reproducibility): draw standard-normal grid
     noise from ``np.random.Generator(PCG64(seed))``, keep modes with
-    |n_j| <= band on every axis, drop the mean mode when requested, and
-    rescale to the requested sup norm.  It runs on the complex full
+    |n_j| <= band on every axis, drop the mean mode, and rescale to the
+    requested sup norm.  It runs on the complex full
     spectrum (``to_spectral``/``to_physical``): the half-spectrum form of
     the same filter differs in the last bits, and every seeded scenario
     starts from these.
@@ -142,8 +141,7 @@ def random_band_limited(
     for nj in grid.modes():
         mask &= np.abs(nj) <= band
     ch = to_spectral(noise) * mask
-    if mean_zero:
-        ch.flat[0] = 0.0
+    ch.flat[0] = 0.0
     vals = to_physical(grid, ch).values
     peak = np.max(np.abs(vals))
     if peak > 0:

@@ -5,8 +5,6 @@ used to probe Holder regularity by pairing."""
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -17,30 +15,6 @@ from .grids import GridSpec, ScalarField, half_spectrum
 from .operators import inner, norms
 
 MEAN_ZERO_FACTOR = 1e-8  # tolerance factor (times sup norm) for exact mean-zero conditions
-
-# ---------------------------------------------------------------------------
-# diagnostics sink (one JSON object per emitted record)
-
-_diagnostics_sink = None
-
-
-def set_diagnostics_sink(sink):
-    """Install a callable receiving one JSON string per diagnostic record."""
-    global _diagnostics_sink
-    _diagnostics_sink = sink
-
-
-def _digest(values: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()[:16]
-
-
-def _emit(operation: str, f: ScalarField, outputs: dict):
-    if _diagnostics_sink is None:
-        return
-    record = {"operation": operation, "input_digest": _digest(f.values)}
-    record.update(outputs)
-    _diagnostics_sink(json.dumps(record, sort_keys=True))
-
 
 # ---------------------------------------------------------------------------
 # concentration weight Omega(z): the square root of the periodic distance
@@ -111,7 +85,6 @@ def bmo_norm(f: ScalarField, radii=None, stride: int = 1) -> float:
     best = 0.0
     if f.values.max() > f.values.min():  # a constant field oscillates nowhere
         best = _kernels.ball_deviation_max(f.values, radii, stride, np.abs)
-    _emit("bmo_norm", f, {"value": best, "radii": radii, "stride": stride})
     return best
 
 
@@ -132,7 +105,6 @@ def holder_seminorm_direct(f: ScalarField, beta: float) -> float:
             f"got {grid.size**2}; use holder_from_lp instead"
         )
     value = _kernels.holder_pair_max(f.values, beta)
-    _emit("holder_seminorm_direct", f, {"value": value, "beta": beta})
     return value
 
 
@@ -295,12 +267,13 @@ class HolderFit:
     sups: tuple
 
 
-def holder_from_lp(f: ScalarField, noise_floor_factor: float = 1e-12) -> HolderFit:
-    """Estimate the Holder exponent from the decay of band sup norms."""
+def holder_from_lp(f: ScalarField) -> HolderFit:
+    """Estimate the Holder exponent from the decay of band sup norms above
+    the noise floor, 1e-12 times the field's sup norm."""
     jmax = max_band_level(f.grid)
     if jmax + 1 < 4:
         raise ValueError("need at least 4 resolvable bands")
-    floor = noise_floor_factor * float(np.max(np.abs(f.values)))
+    floor = 1e-12 * float(np.max(np.abs(f.values)))
     # one band field alive at a time: the fit reads only the sups
     usable = [(b.j, b.sup) for b in _iter_bands(f, 0, jmax) if b.sup > floor]
     if len(usable) < 2:
@@ -315,7 +288,6 @@ def holder_from_lp(f: ScalarField, noise_floor_factor: float = 1e-12) -> HolderF
         levels=tuple(int(j) for j, _ in usable),
         sups=tuple(float(s) for _, s in usable),
     )
-    _emit("holder_from_lp", f, {"beta": fit.beta, "levels": list(fit.levels)})
     return fit
 
 
@@ -400,7 +372,6 @@ def check_class_membership(f: ScalarField, params: ClassParams) -> MembershipRep
         member=bool(member),
         minimal_scale=minimal_scale,
     )
-    _emit("check_class_membership", f, report.summary())
     return report
 
 
@@ -465,5 +436,4 @@ def holder_from_classes(f: ScalarField, r_list, A: float = DEFAULT_CLASS_A) -> C
     else:
         slope = float("nan")
     fit = ClassPairingFit(beta=float(slope), radii=tuple(radii), pairings=tuple(pairings))
-    _emit("holder_from_classes", f, {"beta": fit.beta, "radii": list(fit.radii)})
     return fit

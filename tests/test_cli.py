@@ -529,9 +529,11 @@ class TestDualCommand:
         )
         assert cli.main(["dual", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
 
-    def test_sqg_history_gap(self, tmp_path):
+    def test_sqg_history_gap(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "grid.d = 2\ngrid.N = 16\nequation.kind = sqg\n")
         assert cli.main(["dual", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        # the key the file set, not one it left at its default
+        assert "configuration error: equation.kind: dual runs" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line, key", [
         ("dual.A = 0.5", "dual.A"), ("dual.A = 1", "dual.A"), ("dual.A = nan", "dual.A"),
@@ -623,7 +625,9 @@ class TestVerifyCommand:
     def test_unknown_suite(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "suite = cohomology\n")
         assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
-        assert "duality" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "configuration error: suite: unknown suite 'cohomology'" in err
+        assert "duality" in err
 
     @pytest.mark.parametrize(
         "text, key",

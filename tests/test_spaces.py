@@ -1,4 +1,3 @@
-import json
 import math
 import os
 import subprocess
@@ -31,7 +30,6 @@ from driftlab.spaces import (
     make_test_function,
     max_band_level,
     omega_weighted_mass,
-    set_diagnostics_sink,
     shifted_pairings,
     smooth_cutoff,
 )
@@ -140,19 +138,13 @@ class TestBMO:
             raise AssertionError("ball sums of a constant field")
 
         monkeypatch.setattr(_kernels, "ball_deviation", unexpected)
-        records = []
-        set_diagnostics_sink(records.append)
-        try:
-            for value in (0.0, -0.0, 4.0, -1e300):
-                f = ScalarField.constant(GridSpec(d=d, N=16), value)
-                got = bmo_norm(f, stride=2)
-                assert got == 0.0 and math.copysign(1.0, got) == 1.0
-                for bad in ([0.7], [], [0.25, 0.0]):
-                    with pytest.raises(ValueError, match="radii"):
-                        bmo_norm(f, radii=bad)
-        finally:
-            set_diagnostics_sink(None)
-        assert [json.loads(r)["value"] for r in records] == [0.0] * 4
+        for value in (0.0, -0.0, 4.0, -1e300):
+            f = ScalarField.constant(GridSpec(d=d, N=16), value)
+            got = bmo_norm(f, stride=2)
+            assert got == 0.0 and math.copysign(1.0, got) == 1.0
+            for bad in ([0.7], [], [0.25, 0.0]):
+                with pytest.raises(ValueError, match="radii"):
+                    bmo_norm(f, radii=bad)
 
     @staticmethod
     def _full_scan(f, radii, stride):
@@ -530,17 +522,3 @@ class TestPairings:
         g = GridSpec(d=1, N=256)
         with pytest.raises(ValueError, match="dyadic"):
             holder_from_classes(_rand_field(g, 0), [0.3])
-
-
-class TestDiagnosticsSink:
-    def test_records_are_json(self):
-        records = []
-        set_diagnostics_sink(records.append)
-        try:
-            bmo_norm(_rand_field(GridSpec(d=1, N=32), 5))
-        finally:
-            set_diagnostics_sink(None)
-        assert len(records) == 1
-        doc = json.loads(records[0])
-        assert doc["operation"] == "bmo_norm"
-        assert "value" in doc and "input_digest" in doc

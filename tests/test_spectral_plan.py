@@ -124,7 +124,7 @@ def test_divergence_from_kept_coefficients(grid, kind):
     # the check on the coefficients a field keeps gives the check on the
     # forward transform of its values
     kept = tuple(
-        ScalarField.from_half_spectrum(grid, _coefficients(grid, kind, seed)) for seed in (1, 2)
+        ScalarField.adopt_half_spectrum(grid, _coefficients(grid, kind, seed)) for seed in (1, 2)
     )
     plain = tuple(ScalarField(grid, f.values) for f in kept)
     full = spectral_divergence_max(plain)

@@ -290,7 +290,7 @@ def test_a_run_computes_the_velocity_norm_once(monkeypatch):
     cfg = SimConfig(grid=G2, dt=2e-3, t_end=0.02, velocity=SHEAR)
     result = run_forward(cfg, random_band_limited(G2, band=4, seed=0))
     assert result.states[-1].step == 10
-    assert len(computed) == 1 and computed[0] is result.states[-1].u
+    assert len(computed) == 1 and computed[0] is result.velocity(result.states[-1])
     computed.clear()
     u = shear_velocity(G2, SHEAR.amplitude)
     run_dual(cfg, random_band_limited(G2, band=4, seed=0), horizon=0.02,

@@ -1,9 +1,10 @@
-"""Stored states of a forward run keep theta and rebuild u on each read.
+"""Stored states of a forward run keep theta and no velocity.
 
-Every stored state's ``u``, read after the run, must be the velocity that
-the same steps produce through ``step_forward``, down to the sign of every
-zero, the initial state included; and a run keeps no velocity per stored
-state, which tracemalloc bounds.
+Every stored state's ``u`` is None, and ``RunResult.velocity`` rebuilds,
+after the run, the velocity that the same steps produce through
+``step_forward``, down to the sign of every zero, the initial state
+included; and a run keeps no velocity per stored state, which tracemalloc
+bounds.
 """
 
 import gc
@@ -64,14 +65,14 @@ def test_stored_velocity_is_the_stepped_one(name):
     assert [st.step for st in result.states] == [0, 3, 6, 9, 12, 15, 18, 20]
     stepped = _stepped_velocities(result.config, theta0)
     for st in result.states:
-        assert "u" not in vars(st)
-        for _ in range(2):  # every read rebuilds the same bits
-            for got, want in zip(st.u.components, stepped[st.step].components):
+        assert st.u is None
+        for _ in range(2):  # every call rebuilds the same bits
+            for got, want in zip(result.velocity(st).components, stepped[st.step].components):
                 assert got.values.tobytes() == want.values.tobytes(), (name, st.step)
-        assert "u" not in vars(st)
+        assert st.u is None
     if name in ("steady_shear", "constant_d1"):
         # a steady drift is its profile at every time
-        assert all(st.u is result.history.profile for st in result.states)
+        assert all(result.velocity(st) is result.history.profile for st in result.states)
 
 
 def test_stored_sqg_state_keeps_its_coefficients():
